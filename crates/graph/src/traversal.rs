@@ -13,20 +13,43 @@ pub const UNREACHABLE: u32 = u32::MAX;
 
 /// Single-source BFS distances; unreachable vertices get [`UNREACHABLE`].
 pub fn bfs_distances(g: &Graph, src: VertexId) -> Vec<u32> {
-    let mut dist = vec![UNREACHABLE; g.n()];
-    let mut queue = std::collections::VecDeque::new();
+    let mut dist = Vec::new();
+    bfs_distances_masked(g, src, |_, _, _| true, &mut dist, &mut Vec::new());
+    dist
+}
+
+/// Single-source BFS over the edges `usable(e, u, v)` admits, where `e`
+/// is the directed edge id ([`Graph::edge_id`]) of the visit `u → v`.
+///
+/// Writes distances into `dist` (resized to `n`, unreachable vertices
+/// get [`UNREACHABLE`]) and uses `queue` as scratch, so a caller that
+/// runs many searches can reuse both buffers. This is the one masked
+/// shortest-path search: fault-masked route tables, motif parent trees
+/// and the analytic oracle's degraded escalation all run it, each with
+/// its own predicate (a precompiled per-slot mask, or a point query).
+pub fn bfs_distances_masked(
+    g: &Graph,
+    src: VertexId,
+    usable: impl Fn(u32, VertexId, VertexId) -> bool,
+    dist: &mut Vec<u32>,
+    queue: &mut Vec<VertexId>,
+) {
+    dist.clear();
+    dist.resize(g.n(), UNREACHABLE);
+    queue.clear();
     dist[src as usize] = 0;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == UNREACHABLE {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
+    queue.push(src);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let du = dist[u as usize] + 1;
+        for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+            if dist[v as usize] == UNREACHABLE && usable(e, u, v) {
+                dist[v as usize] = du;
+                queue.push(v);
             }
         }
     }
-    dist
 }
 
 /// Shortest-path distance between a pair, or `None` if disconnected.
@@ -192,6 +215,25 @@ mod tests {
         let g = Graph::path(5);
         assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3, 4]);
         assert_eq!(bfs_distances(&g, 2), vec![2, 1, 0, 1, 2]);
+    }
+
+    #[test]
+    fn masked_bfs_skips_rejected_edges_and_reuses_buffers() {
+        let g = Graph::cycle(6);
+        let cut = g.edge_id(0, 1).unwrap();
+        let (mut dist, mut queue) = (vec![7; 2], Vec::new());
+        // Reject the undirected edge {0, 1} by either slot.
+        let usable = |e: u32, u: u32, v: u32| e != cut && (u, v) != (1, 0);
+        bfs_distances_masked(&g, 0, usable, &mut dist, &mut queue);
+        assert_eq!(dist, vec![0, 5, 4, 3, 2, 1]);
+        bfs_distances_masked(&g, 0, |_, _, _| true, &mut dist, &mut queue);
+        assert_eq!(dist, bfs_distances(&g, 0));
+        bfs_distances_masked(&g, 3, |_, u, _| u != 3, &mut dist, &mut queue);
+        assert_eq!(dist[3], 0);
+        assert!(dist
+            .iter()
+            .enumerate()
+            .all(|(v, &d)| v == 3 || d == UNREACHABLE));
     }
 
     #[test]

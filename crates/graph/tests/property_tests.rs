@@ -1,10 +1,12 @@
 //! Property-based tests for the graph substrate: CSR invariants, BFS
-//! metric properties and partition correctness on randomized inputs.
+//! metric properties, the masked BFS against fault-degraded graphs, and
+//! partition correctness on randomized inputs.
 
 use polarstar_graph::partition::{cut_size, min_bisection};
 use polarstar_graph::random::{gnm, random_regular};
 use polarstar_graph::traversal;
 use polarstar_graph::{Graph, GraphBuilder};
+use polarstar_topo::FaultSet;
 use proptest::prelude::*;
 
 /// Arbitrary edge list over n ≤ 40 vertices (possibly with duplicates
@@ -108,6 +110,44 @@ proptest! {
         }
         for &(u, v) in &all[all.len() / 2..] {
             prop_assert!(h.has_edge(u, v));
+        }
+    }
+
+    #[test]
+    fn masked_bfs_matches_degraded_graph_bfs(
+        (n, edges) in edge_list(),
+        picks in prop::collection::vec((0u32..1000, 0u32..3), 0..16),
+    ) {
+        // Each pick fails one thing: kind 0 cuts a cable (both
+        // directions), kind 1 fails one direction of a link, kind 2 a
+        // router.
+        let g = Graph::from_edges(n, &edges);
+        let all: Vec<(u32, u32)> = g.edges().collect();
+        let (mut cuts, mut lasers, mut routers) = (Vec::new(), Vec::new(), Vec::new());
+        for &(i, kind) in &picks {
+            match kind {
+                0 if !all.is_empty() => cuts.push(all[i as usize % all.len()]),
+                1 if !all.is_empty() => {
+                    let (u, v) = all[i as usize % all.len()];
+                    lasers.push(if i % 2 == 0 { (u, v) } else { (v, u) });
+                }
+                2 => routers.push(i % n as u32),
+                _ => {}
+            }
+        }
+        let faults = FaultSet::from_links(cuts)
+            .union(&FaultSet::from_directed_links(lasers))
+            .union(&FaultSet::from_routers(routers));
+        let mask = faults.edge_mask(&g);
+        let degraded = faults.degraded_graph(&g);
+        let (mut dist, mut queue) = (Vec::new(), Vec::new());
+        for s in 0..n as u32 {
+            let expect = traversal::bfs_distances(&degraded, s);
+            traversal::bfs_distances_masked(&g, s, |e, _, _| !mask.dead(e), &mut dist, &mut queue);
+            prop_assert_eq!(&dist, &expect, "mask predicate from {}", s);
+            let point = |_, u, v| !faults.link_dead(u, v);
+            traversal::bfs_distances_masked(&g, s, point, &mut dist, &mut queue);
+            prop_assert_eq!(&dist, &expect, "point predicate from {}", s);
         }
     }
 }

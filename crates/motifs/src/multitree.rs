@@ -81,8 +81,7 @@ impl FaultEpochs {
 
     /// Whether the undirected edge `{u, v}` is failed at time `t`.
     pub fn edge_failed(&self, t: Time, u: u32, v: u32) -> bool {
-        let m = self.at(t);
-        m.link_failed(u, v) || m.link_failed(v, u)
+        self.at(t).link_dead(u, v)
     }
 }
 
@@ -402,14 +401,12 @@ fn run_striped(
         // scheduled is known up front (keepalive/LLR), not discovered
         // by pouring a ramp's worth of traffic into the tree. Faults
         // that strike later are still caught lazily, send by send.
-        let known_dead = {
-            let base = model.faults();
-            states[chunk.tree].oriented.iter().copied().find(|&(u, v)| {
-                epochs.edge_failed(chunk.earliest, u, v)
-                    || base.link_failed(u, v)
-                    || base.link_failed(v, u)
-            })
-        };
+        let base = model.faults();
+        let known_dead = states[chunk.tree]
+            .oriented
+            .iter()
+            .copied()
+            .find(|&(u, v)| epochs.edge_failed(chunk.earliest, u, v) || base.link_dead(u, v));
         let end = if let Some(edge) = known_dead {
             FloodEnd::Dead {
                 at: chunk.earliest,
@@ -698,10 +695,7 @@ fn try_repair(
     }
     let base = model.faults();
     let usable = |a: u32, b: u32| {
-        !used.contains(&norm(a, b))
-            && !epochs.edge_failed(at, a, b)
-            && !base.link_failed(a, b)
-            && !base.link_failed(b, a)
+        !used.contains(&norm(a, b)) && !epochs.edge_failed(at, a, b) && !base.link_dead(a, b)
     };
     let Some(rep) = polarstar_graph::edst::find_replacement(g, &states[ti].edges, dead, usable)
     else {

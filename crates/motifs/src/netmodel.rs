@@ -7,7 +7,7 @@
 //! per-hop router + link latency (virtual cut-through).
 
 use polarstar_graph::{traversal, Graph};
-use polarstar_topo::fault::FaultSet;
+use polarstar_topo::fault::{EdgeMask, FaultSet};
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use rand::{Rng, SeedableRng};
@@ -167,36 +167,27 @@ impl ParentCsr {
     }
 }
 
-/// BFS from `dst` over the pristine routed graph with `faults` applied
-/// as a mask (identical distances and parent sets to a BFS over the
-/// degraded graph, but edge ids stay stable across fault epochs);
+/// BFS from `dst` over the pristine routed graph, skipping the edges
+/// `mask` marks dead (identical distances and parent sets to a BFS over
+/// the degraded graph, but edge ids stay stable across fault epochs);
 /// `parents_of(r)` = the edge to every live neighbor one hop closer, in
 /// ascending neighbor order (the CSR slot order).
-fn build_parent_csr(routed: &Graph, dst: u32, faults: &FaultSet) -> Box<ParentCsr> {
-    // An edge is routable only when neither direction is failed —
-    // matching `FaultSet::degraded_graph`, which treats a half-dead
-    // cable as dead.
-    let alive = |a: u32, b: u32| !faults.link_failed(a, b) && !faults.link_failed(b, a);
+fn build_parent_csr(routed: &Graph, dst: u32, mask: &EdgeMask) -> Box<ParentCsr> {
     let n = routed.n();
-    let mut dist = vec![traversal::UNREACHABLE; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[dst as usize] = 0;
-    queue.push_back(dst);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in routed.neighbors(u) {
-            if dist[v as usize] == traversal::UNREACHABLE && alive(u, v) {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
+    let mut dist = Vec::new();
+    traversal::bfs_distances_masked(
+        routed,
+        dst,
+        |e, _, _| !mask.dead(e),
+        &mut dist,
+        &mut Vec::new(),
+    );
     let mut offsets = vec![0u32; n + 1];
     let mut edges = Vec::new();
     for r in 0..n as u32 {
         if r != dst && dist[r as usize] != traversal::UNREACHABLE {
             for (e, &nb) in routed.edge_range(r).zip(routed.neighbors(r)) {
-                if alive(r, nb) && dist[nb as usize] + 1 == dist[r as usize] {
+                if !mask.dead(e) && dist[nb as usize] + 1 == dist[r as usize] {
                     edges.push(e);
                 }
             }
@@ -234,6 +225,9 @@ pub struct NetModel {
     routed: Graph,
     /// The live fault mask (seeded from the spec's static faults).
     faults: FaultSet,
+    /// `faults` compiled against `routed`, recomputed only when the
+    /// mask changes: parent trees and `send_link` read one flag per edge.
+    mask: EdgeMask,
     cfg: MotifConfig,
     rng: ChaCha8Rng,
 }
@@ -270,6 +264,7 @@ impl NetModel {
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let routed = spec.graph.clone();
         let faults = spec.faults().clone();
+        let mask = faults.edge_mask(&routed);
         let edges = routed.directed_edge_count();
         NetModel {
             parents: (0..routed.n()).map(|_| OnceLock::new()).collect(),
@@ -279,6 +274,7 @@ impl NetModel {
             spec,
             routed,
             faults,
+            mask,
             cfg,
             rng,
         }
@@ -314,6 +310,7 @@ impl NetModel {
         if self.faults == faults {
             return;
         }
+        self.mask = faults.edge_mask(&self.routed);
         self.faults = faults;
         for slot in &mut self.parents {
             slot.take();
@@ -397,9 +394,8 @@ impl NetModel {
 
     /// The cached parent tree toward `dst`, building it on first use.
     fn parent_tree(&self, dst: u32) -> &ParentCsr {
-        let routed = &self.routed;
-        let faults = &self.faults;
-        self.parents[dst as usize].get_or_init(|| build_parent_csr(routed, dst, faults))
+        let (routed, mask) = (&self.routed, &self.mask);
+        self.parents[dst as usize].get_or_init(|| build_parent_csr(routed, dst, mask))
     }
 
     /// The deterministic minimal router path `src → dst` (first ECMP
@@ -429,9 +425,8 @@ impl NetModel {
         }
         // Disjoint field borrows: the tree is read-only while the walk
         // draws from `self.rng`.
-        let routed = &self.routed;
-        let faults = &self.faults;
-        let tree = self.parents[dst as usize].get_or_init(|| build_parent_csr(routed, dst, faults));
+        let (routed, mask) = (&self.routed, &self.mask);
+        let tree = self.parents[dst as usize].get_or_init(|| build_parent_csr(routed, dst, mask));
         let mut path = Vec::new();
         let mut cur = src;
         while cur != dst {
@@ -576,7 +571,7 @@ impl NetModel {
         let Some(e) = self.routed.edge_id(u, v) else {
             return Err(disconnected);
         };
-        if self.faults.link_failed(u, v) || self.faults.link_failed(v, u) {
+        if self.mask.dead(e) {
             return Err(disconnected);
         }
         Ok(self.reserve(&[e], bytes, start))
@@ -932,6 +927,27 @@ mod tests {
         m.set_faults(polarstar_topo::FaultSet::from_routers([3]));
         assert!(m.send_routers(0, 3, 1000, 0, RoutingMode::Min).is_err());
         assert!(m.min_path(2, 4).unwrap().len() == 4);
+        // A one-directional failure kills the whole cable for routing:
+        // neither direction of 0–1 carries a parent edge, in either
+        // the forward or the reverse query.
+        m.set_faults(polarstar_topo::FaultSet::from_directed_links([(0, 1)]));
+        assert_eq!(m.min_path(0, 1).unwrap().len(), 5);
+        assert_eq!(m.min_path(1, 0).unwrap().len(), 5);
+        assert!(m.send_link(1, 0, 8, 0).is_err(), "half-dead cable is dead");
+        // A router failure after a link-fault epoch: the cached trees of
+        // the previous epoch must not leak through.
+        m.set_faults(
+            polarstar_topo::FaultSet::from_directed_links([(2, 1)])
+                .union(&polarstar_topo::FaultSet::from_routers([4])),
+        );
+        assert_eq!(m.min_path(1, 0).unwrap().len(), 1);
+        assert_eq!(m.min_path(1, 5).unwrap().len(), 2);
+        assert!(
+            m.min_path(1, 2).is_none(),
+            "half-dead 1–2 plus router 4 split the ring"
+        );
+        assert!(m.min_path(3, 5).is_none());
+        assert_eq!(m.min_path(3, 2).unwrap().len(), 1);
     }
 
     #[test]

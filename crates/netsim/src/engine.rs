@@ -663,17 +663,9 @@ impl<'a> Ctx<'a> {
         let epoch_dead_port: Vec<Vec<bool>> = epochs
             .iter()
             .map(|(_, f)| {
-                let mut dead = vec![false; deg_off[n] as usize];
-                if !f.is_empty() {
-                    for r in 0..n as u32 {
-                        for (p, &nb) in spec.graph.neighbors(r).iter().enumerate() {
-                            if f.link_failed(r, nb) {
-                                dead[deg_off[r as usize] as usize + p] = true;
-                            }
-                        }
-                    }
-                }
-                dead
+                // deg_off slots are the graph's directed edge ids.
+                let mask = f.edge_mask(&spec.graph);
+                (0..deg_off[n]).map(|e| mask.failed(e)).collect()
             })
             .collect();
         let epoch_tables: Vec<RouteTable> = if cfg.fault_response == FaultResponse::Reroute {

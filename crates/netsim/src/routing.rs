@@ -11,8 +11,9 @@
 //!   against 4 random Valiant intermediates using local output-queue
 //!   occupancy × remaining hops, then route minimally per phase.
 
+use polarstar_graph::traversal::bfs_distances_masked;
 use polarstar_graph::Graph;
-use polarstar_topo::fault::FaultSet;
+use polarstar_topo::fault::{EdgeMask, FaultSet};
 use polarstar_topo::network::{NetworkSpec, RoutingPolicy};
 use polarstar_topo::oracle::{PathOracle, RouteError};
 use rayon::prelude::*;
@@ -142,118 +143,84 @@ impl RouteTable {
             .build()
     }
 
-    /// Build the table with one BFS per destination (rayon-parallel).
-    fn new(g: &Graph) -> Self {
-        let n = g.n();
-        assert!(n > 0);
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        let dists: Vec<Vec<u32>> = (0..n as u32)
-            .into_par_iter()
-            .map(|dst| polarstar_graph::traversal::bfs_distances(g, dst))
-            .collect();
-        Self::assemble(g, &dists, |_, _| true)
+    /// Rebuild the distance and minimal-port layers for a new cumulative
+    /// fault set, reusing this table's pristine neighbor CSR — and with
+    /// it the port numbering the engine's flattened state is indexed by.
+    ///
+    /// This is the route-table *epoch* path of live fault schedules: per
+    /// epoch only the BFS layers are recomputed, over one [`EdgeMask`]
+    /// compiled from `faults`; the CSR is cloned, never re-derived from
+    /// the graph, so port indices stay valid across the switch. The
+    /// policy and group structure come from `spec` (which must be the
+    /// spec this table was built for).
+    pub fn remask(&self, spec: &NetworkSpec, faults: &FaultSet) -> RouteTable {
+        assert_eq!(spec.graph.n(), self.n, "spec does not match this table");
+        let csr = (self.nbr_offsets.clone(), self.nbrs.clone());
+        let mask = faults.edge_mask(&spec.graph);
+        match spec.routing_policy() {
+            // A negotiated spec's base table is the flat minimal one —
+            // the negotiated overlay rides on top of it.
+            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => {
+                Self::flat(csr, &spec.graph, &mask)
+            }
+            RoutingPolicy::HierarchicalMinimal => {
+                Self::hierarchical(csr, &spec.graph, &spec.group, &mask)
+            }
+        }
     }
 
-    /// Fault-masked flat table: BFS distances over the degraded graph,
-    /// minimal ports exclude failed directed links, neighbor CSR (and
-    /// therefore port numbering) from the pristine graph. Pairs the fault
-    /// set disconnects keep [`RouteTable::UNREACHABLE`] distance and an
-    /// empty port set.
-    fn new_masked(g: &Graph, faults: &FaultSet) -> Self {
-        let n = g.n();
-        assert!(n > 0);
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        let degraded = faults.degraded_graph(g);
-        let dists: Vec<Vec<u32>> = (0..n as u32)
+    /// Flat minimal table: one masked BFS per destination
+    /// (rayon-parallel) skipping [`EdgeMask::dead`] edges, minimal ports
+    /// excluding [`EdgeMask::failed`] directed links, neighbor CSR (and
+    /// therefore port numbering) from the pristine graph. Pairs the mask
+    /// disconnects keep [`RouteTable::UNREACHABLE`] distance and an
+    /// empty port set; an all-clear mask builds the pristine table.
+    ///
+    /// `csr` is `g`'s [`neighbor_csr`]; the route-table-epoch path passes
+    /// a clone of an existing table's.
+    fn flat(csr: (Vec<u32>, Vec<u32>), g: &Graph, mask: &EdgeMask) -> Self {
+        let dists: Vec<Vec<u32>> = (0..g.n() as u32)
             .into_par_iter()
-            .map(|dst| polarstar_graph::traversal::bfs_distances(&degraded, dst))
+            .map(|dst| {
+                let mut dist = Vec::new();
+                bfs_distances_masked(g, dst, |e, _, _| !mask.dead(e), &mut dist, &mut Vec::new());
+                dist
+            })
             .collect();
-        Self::assemble(g, &dists, |r, nb| !faults.link_failed(r, nb))
+        Self::assemble(csr, &dists, |e| !mask.failed(e))
     }
 
     /// Hierarchical routing for group topologies (Dragonfly, Megafly):
     /// minimal paths restricted to at most one inter-group ("global")
     /// link — BookSim's built-in Dragonfly/Megafly MIN discipline. UGAL
     /// over this table composes two such segments, matching the standard
-    /// Dragonfly Valiant scheme.
+    /// Dragonfly Valiant scheme. The ≤1-global search skips dead edges,
+    /// the port rule skips failed directed links, and the neighbor CSR
+    /// keeps pristine port numbering.
     ///
     /// Port rule: a local port is minimal if it reduces the ≤1-global
     /// distance d1; a global port is minimal only if the remainder from
     /// its far end is purely local (so no path ever takes two globals).
-    fn hierarchical(g: &Graph, group: &[u32]) -> Self {
-        Self::hierarchical_with(g, g, group, |_, _| true)
-    }
-
-    /// Fault-masked hierarchical table: the ≤1-global BFS runs over the
-    /// degraded graph, the port rule skips failed directed links, and the
-    /// neighbor CSR keeps pristine port numbering.
-    fn hierarchical_masked(g: &Graph, group: &[u32], faults: &FaultSet) -> Self {
-        let degraded = faults.degraded_graph(g);
-        Self::hierarchical_with(g, &degraded, group, |r, nb| !faults.link_failed(r, nb))
-    }
-
-    /// Rebuild the distance and minimal-port layers for a new cumulative
-    /// fault set, reusing this table's pristine neighbor CSR — and with
-    /// it the port numbering the engine's flattened state is indexed by.
     ///
-    /// This is the route-table *epoch* path of live fault schedules: per
-    /// epoch only the BFS layers are recomputed; the CSR is cloned, never
-    /// re-derived from the graph, so port indices stay valid across the
-    /// switch. The policy and group structure come from `spec` (which
-    /// must be the spec this table was built for).
-    pub fn remask(&self, spec: &NetworkSpec, faults: &FaultSet) -> RouteTable {
-        let n = self.n;
-        assert_eq!(spec.graph.n(), n, "spec does not match this table");
-        let csr = (self.nbr_offsets.clone(), self.nbrs.clone());
-        let degraded = faults.degraded_graph(&spec.graph);
-        match spec.routing_policy() {
-            // A negotiated spec's base table is the flat minimal one —
-            // the negotiated overlay rides on top of it.
-            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => {
-                let dists: Vec<Vec<u32>> = (0..n as u32)
-                    .into_par_iter()
-                    .map(|dst| polarstar_graph::traversal::bfs_distances(&degraded, dst))
-                    .collect();
-                Self::assemble_from(csr, &dists, |r, nb| !faults.link_failed(r, nb))
-            }
-            RoutingPolicy::HierarchicalMinimal => {
-                Self::hierarchical_from(csr, &degraded, &spec.group, |r, nb| {
-                    !faults.link_failed(r, nb)
-                })
-            }
-        }
-    }
-
-    /// Shared hierarchical assembly: distances over `routed` (the
-    /// possibly-degraded view), CSR and port numbering over the pristine
-    /// `g`, `alive` masking the minimal-port sets.
-    fn hierarchical_with<F: Fn(u32, u32) -> bool + Sync>(
-        g: &Graph,
-        routed: &Graph,
-        group: &[u32],
-        alive: F,
-    ) -> Self {
-        assert_eq!(routed.n(), g.n());
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        Self::hierarchical_from(neighbor_csr(g), routed, group, alive)
-    }
-
-    /// Hierarchical assembly over a pre-built (pristine) neighbor CSR —
-    /// the route-table-epoch path reuses an existing table's CSR here.
-    fn hierarchical_from<F: Fn(u32, u32) -> bool + Sync>(
+    /// `csr` is `g`'s [`neighbor_csr`], as for [`RouteTable::flat`].
+    fn hierarchical(
         (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
-        routed: &Graph,
+        g: &Graph,
         group: &[u32],
-        alive: F,
+        mask: &EdgeMask,
     ) -> Self {
         let n = nbr_offsets.len() - 1;
         assert_eq!(group.len(), n);
-        assert_eq!(routed.n(), n);
+        assert_eq!(g.n(), n);
         let per_dst: Vec<(Vec<u32>, Vec<u32>)> = (0..n as u32)
             .into_par_iter()
             .map(|dst| {
-                let d0 = local_bfs(routed, group, dst);
-                let d1 = one_global_bfs(routed, group, dst, &d0);
+                let mut d0 = Vec::new();
+                let local = |e: u32, u: u32, v: u32| {
+                    !mask.dead(e) && group[u as usize] == group[v as usize]
+                };
+                bfs_distances_masked(g, dst, local, &mut d0, &mut Vec::new());
+                let d1 = one_global_bfs(g, group, mask, &d0);
                 (d0, d1)
             })
             .collect();
@@ -269,12 +236,13 @@ impl RouteTable {
         let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
         port_offsets.push(0u32);
         for r in 0..n {
-            let row = &nbrs[nbr_offsets[r] as usize..nbr_offsets[r + 1] as usize];
+            let (lo, hi) = (nbr_offsets[r], nbr_offsets[r + 1]);
+            let row = &nbrs[lo as usize..hi as usize];
             for (dst, (d0, d1)) in per_dst.iter().enumerate() {
                 if r != dst && d1[r] != u32::MAX {
                     let dr = d1[r];
-                    for (p, &nb) in row.iter().enumerate() {
-                        if !alive(r as u32, nb) {
+                    for (p, (e, &nb)) in (lo..hi).zip(row).enumerate() {
+                        if mask.failed(e) {
                             continue;
                         }
                         let local = group[r] == group[nb as usize];
@@ -301,16 +269,11 @@ impl RouteTable {
         }
     }
 
-    /// Assemble the flat arenas from per-destination u32 BFS distances
-    /// over the pristine neighbor CSR; `alive` masks failed directed
-    /// links out of the minimal-port sets.
-    fn assemble<F: Fn(u32, u32) -> bool>(g: &Graph, dists: &[Vec<u32>], alive: F) -> Self {
-        Self::assemble_from(neighbor_csr(g), dists, alive)
-    }
-
-    /// Flat assembly over a pre-built (pristine) neighbor CSR — the
-    /// route-table-epoch path reuses an existing table's CSR here.
-    fn assemble_from<F: Fn(u32, u32) -> bool>(
+    /// Flat assembly over a pre-built (pristine) neighbor CSR from
+    /// per-destination u32 BFS distances; `alive` (keyed by the CSR slot,
+    /// which is the graph's directed edge id) masks failed directed links
+    /// out of the minimal-port sets.
+    fn assemble<F: Fn(u32) -> bool>(
         (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
         dists: &[Vec<u32>],
         alive: F,
@@ -329,15 +292,13 @@ impl RouteTable {
         let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
         port_offsets.push(0u32);
         for r in 0..n {
-            let row = &nbrs[nbr_offsets[r] as usize..nbr_offsets[r + 1] as usize];
+            let (lo, hi) = (nbr_offsets[r], nbr_offsets[r + 1]);
+            let row = &nbrs[lo as usize..hi as usize];
             for (dst, d) in dists.iter().enumerate() {
                 if r != dst && d[r] != u32::MAX {
                     let dr = d[r];
-                    for (p, &nb) in row.iter().enumerate() {
-                        if d[nb as usize] != u32::MAX
-                            && d[nb as usize] + 1 == dr
-                            && alive(r as u32, nb)
-                        {
+                    for (p, (e, &nb)) in (lo..hi).zip(row).enumerate() {
+                        if d[nb as usize] != u32::MAX && d[nb as usize] + 1 == dr && alive(e) {
                             ports.push(p as u8);
                         }
                     }
@@ -470,22 +431,21 @@ impl<'a> RouteTableBuilder<'a> {
     /// If the policy is hierarchical and no group was attached, or the
     /// group length does not match the graph.
     pub fn build(self) -> RouteTable {
-        let masked = self.faults.filter(|f| !f.is_empty());
+        let g = self.graph;
+        assert!(g.max_degree() < 256, "ports are stored as u8");
+        let mask = self.faults.unwrap_or(&FaultSet::empty()).edge_mask(g);
         match self.policy {
             // The negotiated overlay consults a flat minimal base table
             // (for fallback ports and reachability); build that.
-            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => match masked {
-                Some(f) => RouteTable::new_masked(self.graph, f),
-                None => RouteTable::new(self.graph),
-            },
+            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => {
+                assert!(g.n() > 0);
+                RouteTable::flat(neighbor_csr(g), g, &mask)
+            }
             RoutingPolicy::HierarchicalMinimal => {
                 let group = self
                     .group
                     .expect("hierarchical routing requires .group(..) on the builder");
-                match masked {
-                    Some(f) => RouteTable::hierarchical_masked(self.graph, group, f),
-                    None => RouteTable::hierarchical(self.graph, group),
-                }
+                RouteTable::hierarchical(neighbor_csr(g), g, group, &mask)
             }
         }
     }
@@ -521,25 +481,6 @@ impl PathOracle for RouteTable {
     }
 }
 
-/// BFS to `dst` using only intra-group edges (UNREACHABLE-valued outside
-/// dst's group).
-fn local_bfs(g: &Graph, group: &[u32], dst: u32) -> Vec<u32> {
-    let n = g.n();
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[dst as usize] = 0;
-    queue.push_back(dst);
-    while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
-            if group[v as usize] == group[u as usize] && dist[v as usize] == u32::MAX {
-                dist[v as usize] = dist[u as usize] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// Shortest distance to `dst` over paths with at most one inter-group
 /// edge, given the pure-local distances `d0` toward `dst`.
 ///
@@ -547,8 +488,8 @@ fn local_bfs(g: &Graph, group: &[u32], dst: u32) -> Vec<u32> {
 /// optional global hop `w → s`, then a pure-local suffix `s → dst`. So
 /// `d1 = min(d0, local-Dijkstra from seeds seed[w] = min over global
 /// edges (w, s) of d0[s] + 1)` — a bucketed multi-source Dijkstra over
-/// local edges only.
-fn one_global_bfs(g: &Graph, group: &[u32], _dst: u32, d0: &[u32]) -> Vec<u32> {
+/// local edges only. Edges the mask marks dead are skipped throughout.
+fn one_global_bfs(g: &Graph, group: &[u32], mask: &EdgeMask, d0: &[u32]) -> Vec<u32> {
     let n = g.n();
     let mut dist1 = d0.to_vec();
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); 8];
@@ -562,8 +503,9 @@ fn one_global_bfs(g: &Graph, group: &[u32], _dst: u32, d0: &[u32]) -> Vec<u32> {
     // Seeds: crossing a global edge (w, s) costs d0[s] + 1 at w, plus
     // the pure-local distances themselves.
     for w in 0..n as u32 {
-        for &s in g.neighbors(w) {
-            if group[s as usize] != group[w as usize] && d0[s as usize] != u32::MAX {
+        for (e, &s) in g.edge_range(w).zip(g.neighbors(w)) {
+            if !mask.dead(e) && group[s as usize] != group[w as usize] && d0[s as usize] != u32::MAX
+            {
                 let cand = d0[s as usize] + 1;
                 if cand < dist1[w as usize] {
                     dist1[w as usize] = cand;
@@ -585,9 +527,9 @@ fn one_global_bfs(g: &Graph, group: &[u32], _dst: u32, d0: &[u32]) -> Vec<u32> {
             if dist1[u as usize] != d as u32 {
                 continue; // stale entry
             }
-            for &v in g.neighbors(u) {
-                if group[v as usize] != group[u as usize] {
-                    continue; // only local propagation
+            for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+                if group[v as usize] != group[u as usize] || mask.dead(e) {
+                    continue; // only live local propagation
                 }
                 let nd = d as u32 + 1;
                 if nd < dist1[v as usize] {
@@ -888,17 +830,65 @@ mod tests {
         }
     }
 
+    /// The flat masked table from first principles: distances over
+    /// `FaultSet::degraded_graph` (a half-dead cable is dead), minimal
+    /// ports filtered by the directed `FaultSet::link_failed` rule.
+    fn assert_matches_fault_rules(t: &RouteTable, g: &Graph, f: &polarstar_topo::FaultSet) {
+        let degraded = f.degraded_graph(g);
+        for dst in 0..g.n() as u32 {
+            let d = polarstar_graph::traversal::bfs_distances(&degraded, dst);
+            for r in 0..g.n() as u32 {
+                let dr = d[r as usize];
+                assert_eq!(
+                    t.distance(r, dst),
+                    dr.min(u16::MAX as u32) as u16,
+                    "{r}→{dst}"
+                );
+                let expect: Vec<u8> = (0..g.degree(r))
+                    .filter(|&p| {
+                        let nb = g.neighbors(r)[p];
+                        r != dst
+                            && dr != u32::MAX
+                            && !f.link_failed(r, nb)
+                            && d[nb as usize].wrapping_add(1) == dr
+                    })
+                    .map(|p| p as u8)
+                    .collect();
+                assert_eq!(t.min_ports(r, dst), &expect[..], "{r}→{dst}");
+            }
+        }
+    }
+
+    /// One fault set of each kind: undirected cuts, one-directional
+    /// (laser) failures, and router failures, plus their union.
+    fn fault_kinds(g: &Graph) -> Vec<polarstar_topo::FaultSet> {
+        use polarstar_topo::FaultSet;
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let cuts = FaultSet::random_links(g, 0.1, 5);
+        // Fail alternate directions so both orientations are exercised.
+        let lasers = FaultSet::from_directed_links(
+            edges
+                .iter()
+                .step_by(7)
+                .enumerate()
+                .map(|(i, &(u, v))| if i % 2 == 0 { (u, v) } else { (v, u) }),
+        );
+        let routers = FaultSet::from_routers([3, g.n() as u32 / 2]);
+        let all = cuts.union(&lasers).union(&routers);
+        vec![cuts, lasers, routers, all]
+    }
+
     #[test]
     fn remask_matches_fresh_masked_build() {
         use polarstar_topo::FaultSet;
         let g = polarstar_graph::random::random_regular(24, 4, 11).unwrap();
         let spec = polarstar_topo::NetworkSpec::uniform("rr24", g.clone(), 1);
         let pristine = RouteTable::for_spec(&spec);
-        let f = FaultSet::random_links(&g, 0.1, 5);
-        assert_tables_equal(
-            &pristine.remask(&spec, &f),
-            &RouteTable::builder(&g).faults(&f).build(),
-        );
+        for f in fault_kinds(&g) {
+            let remasked = pristine.remask(&spec, &f);
+            assert_tables_equal(&remasked, &RouteTable::builder(&g).faults(&f).build());
+            assert_matches_fault_rules(&remasked, &g, &f);
+        }
         // Remasking back to the empty set restores the pristine table.
         assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
     }
@@ -924,14 +914,38 @@ mod tests {
             .edges()
             .find(|&(u, v)| df.group[u as usize] != df.group[v as usize])
             .unwrap();
-        let f = FaultSet::from_links([(u, v)]);
-        assert_tables_equal(
-            &pristine.remask(&spec, &f),
-            &RouteTable::builder(&df.graph)
-                .group(&df.group)
-                .faults(&f)
-                .build(),
-        );
+        let mut kinds = fault_kinds(&df.graph);
+        kinds.push(FaultSet::from_links([(u, v)]));
+        // A one-directional global failure: the reverse port stays
+        // offered when it is still minimal, the forward one never is.
+        let laser = FaultSet::from_directed_links([(u, v)]);
+        kinds.push(laser.clone());
+        for f in &kinds {
+            let remasked = pristine.remask(&spec, f);
+            assert_tables_equal(
+                &remasked,
+                &RouteTable::builder(&df.graph)
+                    .group(&df.group)
+                    .faults(f)
+                    .build(),
+            );
+            for r in 0..df.graph.n() as u32 {
+                for dst in 0..df.graph.n() as u32 {
+                    for &p in remasked.min_ports(r, dst) {
+                        assert!(!f.link_failed(r, remasked.neighbor(r, p)), "{r}→{dst}");
+                    }
+                }
+            }
+        }
+        // The half-dead global cable is dead for distances: neither end
+        // sees the other one hop away.
+        let t = pristine.remask(&spec, &laser);
+        let cut = pristine.remask(&spec, &FaultSet::from_links([(u, v)]));
+        assert!(t.distance(u, v) > 1 && t.distance(v, u) > 1);
+        for r in 0..df.graph.n() as u32 {
+            assert_eq!(t.distance(r, u), cut.distance(r, u), "{r}→{u}");
+            assert_eq!(t.distance(r, v), cut.distance(r, v), "{r}→{v}");
+        }
     }
 
     #[test]

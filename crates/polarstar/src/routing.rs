@@ -43,9 +43,13 @@ use std::sync::Arc;
 /// ```
 pub struct AnalyticRouter {
     net: Arc<PolarStarNetwork>,
-    /// middles[x][y] = structure vertices w completing a ≤2-path x–w–y,
-    /// where w == x or w == y encodes a self-loop hop at a quadric vertex.
-    middles: Vec<Vec<Vec<u32>>>,
+    /// Middle lists as one CSR arena over structure pairs (read through
+    /// [`AnalyticRouter::middles`]): the list of `(x, y)` sits at
+    /// `middle_offsets[i]..middle_offsets[i + 1]` with `i = x·n + y`, and
+    /// holds the structure vertices w completing a ≤2-path x–w–y, where
+    /// w == x or w == y encodes a self-loop hop at a quadric vertex.
+    middle_offsets: Vec<u32>,
+    middle_list: Vec<u32>,
     /// Inverse of the supernode bijection.
     finv: Vec<u32>,
     /// Number of routes that needed the bounded local-search backstop.
@@ -61,13 +65,15 @@ impl AnalyticRouter {
         let net = net.into();
         let er = &net.er;
         let n = er.graph.n();
-        let mut middles = vec![vec![Vec::new(); n]; n];
+        let mut middle_offsets = Vec::with_capacity(n * n + 1);
+        let mut middle_list = Vec::new();
+        middle_offsets.push(0u32);
         for x in 0..n as u32 {
             for y in 0..n as u32 {
                 if x == y {
+                    middle_offsets.push(middle_list.len() as u32);
                     continue;
                 }
-                let mut list = Vec::new();
                 // Ordinary middles: common neighbors.
                 let (nx, ny) = (er.graph.neighbors(x), er.graph.neighbors(y));
                 let mut i = 0;
@@ -77,7 +83,7 @@ impl AnalyticRouter {
                         std::cmp::Ordering::Less => i += 1,
                         std::cmp::Ordering::Greater => j += 1,
                         std::cmp::Ordering::Equal => {
-                            list.push(nx[i]);
+                            middle_list.push(nx[i]);
                             i += 1;
                             j += 1;
                         }
@@ -87,15 +93,16 @@ impl AnalyticRouter {
                 // adjacent to y, the walk x–x–y exists; likewise at y.
                 if er.graph.has_edge(x, y) {
                     if er.quadric[x as usize] {
-                        list.push(x);
+                        middle_list.push(x);
                     }
                     if er.quadric[y as usize] {
-                        list.push(y);
+                        middle_list.push(y);
                     }
                 }
-                middles[x as usize][y as usize] = list;
+                middle_offsets.push(middle_list.len() as u32);
             }
         }
+        middle_list.shrink_to_fit();
         let f = &net.supernode.f;
         let mut finv = vec![0u32; f.len()];
         for (a, &b) in f.iter().enumerate() {
@@ -103,7 +110,8 @@ impl AnalyticRouter {
         }
         AnalyticRouter {
             net,
-            middles,
+            middle_offsets,
+            middle_list,
             finv,
             fallback_count: AtomicU64::new(0),
             route_count: AtomicU64::new(0),
@@ -121,7 +129,9 @@ impl AnalyticRouter {
         self.fallback_count.load(Ordering::Relaxed)
     }
 
-    /// Total [`AnalyticRouter::route`] invocations so far.
+    /// Total [`AnalyticRouter::route`] invocations so far (distance-only
+    /// queries through [`AnalyticRouter::distance`] build no route and
+    /// are not counted).
     pub fn routes_computed(&self) -> u64 {
         self.route_count.load(Ordering::Relaxed)
     }
@@ -142,15 +152,16 @@ impl AnalyticRouter {
     /// f⁻¹) — the whole per-router storage cost of analytic routing,
     /// compared against `RouteTable::memory_bytes` in the scale benches.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        bytes += self.middles.capacity() * std::mem::size_of::<Vec<Vec<u32>>>();
-        for row in &self.middles {
-            bytes += row.capacity() * std::mem::size_of::<Vec<u32>>();
-            for list in row {
-                bytes += list.capacity() * std::mem::size_of::<u32>();
-            }
-        }
-        bytes + self.finv.capacity() * std::mem::size_of::<u32>()
+        std::mem::size_of::<Self>()
+            + (self.middle_offsets.capacity() + self.middle_list.capacity() + self.finv.capacity())
+                * std::mem::size_of::<u32>()
+    }
+
+    /// The middle list of structure pair `(x, y)` (empty when x == y).
+    #[inline]
+    fn middles(&self, x: u32, y: u32) -> &[u32] {
+        let i = x as usize * self.net.er.graph.n() + y as usize;
+        &self.middle_list[self.middle_offsets[i] as usize..self.middle_offsets[i + 1] as usize]
     }
 
     /// Supernode coordinate after crossing the structure edge `x → y`
@@ -178,17 +189,18 @@ impl AnalyticRouter {
                 && (self.net.supernode.f[a as usize] == b || self.net.supernode.f[b as usize] == a))
     }
 
-    /// Neighbors of local coordinate `a` within copy `x`.
-    fn copy_neighbors(&self, x: u32, a: u32) -> Vec<u32> {
-        let mut out: Vec<u32> = self.net.supernode.graph.neighbors(a).to_vec();
+    /// Neighbors of local coordinate `a` within copy `x`: the supernode
+    /// neighbors, then (at a quadric copy) f(a) and f⁻¹(a) unless they
+    /// are `a` itself or already listed. Allocation-free.
+    fn copy_neighbors(&self, x: u32, a: u32) -> impl Iterator<Item = u32> + '_ {
+        let sn = self.net.supernode.graph.neighbors(a);
+        let mut loops = [None, None];
         if self.net.er.quadric[x as usize] {
-            for cand in [self.net.supernode.f[a as usize], self.finv[a as usize]] {
-                if cand != a && !out.contains(&cand) {
-                    out.push(cand);
-                }
-            }
+            let (fa, fia) = (self.net.supernode.f[a as usize], self.finv[a as usize]);
+            loops[0] = (fa != a && !sn.contains(&fa)).then_some(fa);
+            loops[1] = (fia != a && fia != fa && !sn.contains(&fia)).then_some(fia);
         }
-        out
+        sn.iter().copied().chain(loops.into_iter().flatten())
     }
 
     /// Destination-based incremental routing (§9.2): the next router on
@@ -212,13 +224,7 @@ impl AnalyticRouter {
             return Vec::new();
         }
         self.route_count.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = self.try_one_hop(s, t) {
-            return p;
-        }
-        if let Some(p) = self.try_two_hops(s, t) {
-            return p;
-        }
-        if let Some(p) = self.try_three_hops(s, t) {
+        if let Some(p) = self.template_route(s, t) {
             return p;
         }
         self.fallback_count.fetch_add(1, Ordering::Relaxed);
@@ -238,6 +244,44 @@ impl AnalyticRouter {
             .unwrap_or_else(|| panic!("no path of length ≤ 4 from {s} to {t}"))
     }
 
+    /// The shortest §9.2 template path `s → t` (routers after `s`), or
+    /// `None` when no template covers the pair. Counts nothing.
+    fn template_route(&self, s: u32, t: u32) -> Option<Vec<u32>> {
+        if self.product_adjacent(s, t) {
+            return Some(vec![t]);
+        }
+        if let Some(mid) = self.two_hop_middle(s, t) {
+            return Some(vec![mid, t]);
+        }
+        self.try_three_hops(s, t)
+    }
+
+    /// Hop distance `s → t` in the pristine network, from factor state
+    /// and without building a route: 0 for `s == t`, 1 for product
+    /// neighbors, 2 when a two-hop template exists, and 3 otherwise —
+    /// the diameter-3 envelope (Theorems 4/5). Agrees with
+    /// `route(s, t).len()` on every pair (checked in debug builds).
+    pub fn distance(&self, s: u32, t: u32) -> u32 {
+        let d = if s == t {
+            0
+        } else if self.product_adjacent(s, t) {
+            1
+        } else if self.two_hop_middle(s, t).is_some() {
+            2
+        } else {
+            3
+        };
+        debug_assert!(
+            s == t
+                || self
+                    .template_route(s, t)
+                    .or_else(|| self.bounded_search(s, t))
+                    .is_some_and(|p| p.len() == d as usize),
+            "analytic distance {s}→{t} disagrees with the routed path"
+        );
+        d
+    }
+
     /// Product adjacency from factor state only.
     fn product_adjacent(&self, s: u32, t: u32) -> bool {
         let (x, xp) = (self.net.structure_of(s), self.net.local_of(s));
@@ -249,56 +293,51 @@ impl AnalyticRouter {
         }
     }
 
-    fn try_one_hop(&self, s: u32, t: u32) -> Option<Vec<u32>> {
-        self.product_adjacent(s, t).then(|| vec![t])
-    }
-
     /// Local coordinates reachable by one structure-level hop of the walk
     /// `from → to`: a crossing when the vertices differ, or a quadric
     /// self-loop hop (both f and f⁻¹ directions) when they coincide.
-    fn hop_locals(&self, from: u32, to: u32, a: u32) -> Vec<u32> {
-        if from == to {
+    /// Allocation-free.
+    fn hop_locals(&self, from: u32, to: u32, a: u32) -> impl Iterator<Item = u32> {
+        let (first, second) = if from == to {
             let fa = self.net.supernode.f[a as usize];
             let fia = self.finv[a as usize];
-            if fa == fia {
-                vec![fa]
-            } else {
-                vec![fa, fia]
-            }
+            (fa, (fa != fia).then_some(fia))
         } else {
-            vec![self.cross(from, to, a)]
-        }
+            (self.cross(from, to, a), None)
+        };
+        std::iter::once(first).chain(second)
     }
 
-    fn try_two_hops(&self, s: u32, t: u32) -> Option<Vec<u32>> {
+    /// The middle router of a two-hop template path `s → mid → t`, if
+    /// one exists. Allocation-free.
+    fn two_hop_middle(&self, s: u32, t: u32) -> Option<u32> {
         let net = &self.net;
         let (x, xp) = (net.structure_of(s), net.local_of(s));
         let (y, yp) = (net.structure_of(t), net.local_of(t));
         if x == y {
             // Intra-supernode 2-path through a copy-internal middle.
-            for m in self.copy_neighbors(x, xp) {
-                if self.copy_adjacent(x, m, yp) {
-                    return Some(vec![net.router_id(x, m), t]);
-                }
-            }
-            return None;
+            return self
+                .copy_neighbors(x, xp)
+                .find(|&m| self.copy_adjacent(x, m, yp))
+                .map(|m| net.router_id(x, m));
         }
         if net.er.graph.has_edge(x, y) {
             // §9.2 case (c): intra hop at x, then cross.
-            for m in self.copy_neighbors(x, xp) {
-                if self.cross(x, y, m) == yp {
-                    return Some(vec![net.router_id(x, m), t]);
-                }
+            if let Some(m) = self
+                .copy_neighbors(x, xp)
+                .find(|&m| self.cross(x, y, m) == yp)
+            {
+                return Some(net.router_id(x, m));
             }
             // §9.2 case (d): cross, then intra hop at y.
             let mid = self.cross(x, y, xp);
             if self.copy_adjacent(y, mid, yp) {
-                return Some(vec![net.router_id(y, mid), t]);
+                return Some(net.router_id(y, mid));
             }
         }
         // Alternating path through a middle supernode (case (a); also the
         // only way two non-adjacent supernodes can be 2 apart).
-        for &w in &self.middles[x as usize][y as usize] {
+        for &w in self.middles(x, y) {
             for h1 in self.hop_locals(x, w, xp) {
                 for h2 in self.hop_locals(w, y, h1) {
                     if h2 == yp {
@@ -306,7 +345,7 @@ impl AnalyticRouter {
                         // intermediate router sits in the looping copy.
                         let mid = net.router_id(w, h1);
                         if mid != s && mid != t {
-                            return Some(vec![mid, t]);
+                            return Some(mid);
                         }
                     }
                 }
@@ -322,7 +361,7 @@ impl AnalyticRouter {
         let (y, yp) = (net.structure_of(t), net.local_of(t));
 
         if x != y {
-            for &w in &self.middles[x as usize][y as usize] {
+            for &w in self.middles(x, y) {
                 // Intra hop at the source copy, then the 2-walk.
                 for m in self.copy_neighbors(x, xp) {
                     for h1 in self.hop_locals(x, w, m) {
@@ -387,7 +426,7 @@ impl AnalyticRouter {
             if a == y {
                 continue; // would be an at-most-2-hop case, already tried
             }
-            for &w in &self.middles[a as usize][y as usize] {
+            for &w in self.middles(a, y) {
                 for h1 in self.hop_locals(a, w, h) {
                     for h2 in self.hop_locals(w, y, h1) {
                         if h2 == yp {
@@ -448,7 +487,6 @@ impl AnalyticRouter {
         let (x, xp) = (net.structure_of(v), net.local_of(v));
         let mut out: Vec<u32> = self
             .copy_neighbors(x, xp)
-            .into_iter()
             .map(|m| net.router_id(x, m))
             .collect();
         for &y in net.er.graph.neighbors(x) {
@@ -486,6 +524,12 @@ mod tests {
                 let path = router.route(s, t);
                 validate_path(net, s, &path);
                 assert_eq!(path.last().copied().unwrap_or(s), t);
+                assert_eq!(
+                    router.distance(s, t),
+                    dist[t as usize],
+                    "{}: analytic distance {s}→{t}",
+                    net.config.label()
+                );
                 assert_eq!(
                     path.len() as u32,
                     dist[t as usize],

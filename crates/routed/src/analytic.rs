@@ -8,21 +8,26 @@
 //! and bijection) plus the current [`FaultSet`], and reconstructs
 //! answers per query:
 //!
-//! * **pristine** (no faults): distance is the length of the §9.2
-//!   template path; minimal next hops are the neighbors whose template
-//!   distance is one less. O(1) memory per query.
+//! * **pristine** (no faults): distance is
+//!   [`AnalyticRouter::distance`] — product adjacency, else a two-hop
+//!   template, else 3 — with no route built; minimal next hops are the
+//!   neighbors whose distance is one less. O(1) memory per query.
 //! * **faulted, minimal path survives**: a depth-≤3 walk over the
 //!   pristine minimal-path DAG checks that some template-length path
 //!   avoids the fault mask; if so the pristine distance still holds and
 //!   next hops are filtered by the mask. Still O(1) memory.
 //! * **faulted, minimal DAG severed**: the query escalates to one exact
-//!   BFS over the degraded product graph (O(n) transient, nothing
-//!   cached), reproducing the masked table's answer bit for bit.
+//!   degraded search — the shared
+//!   [`bfs_distances_masked`] with a [`FaultSet::link_dead`] predicate
+//!   (O(n) transient, nothing cached) — reproducing the masked table's
+//!   answer bit for bit.
 //!
 //! Because the fault mask is the *only* per-epoch state, an epoch switch
-//! is an `Arc` clone plus a `FaultSet` swap — no BFS sweep, which is
-//! what collapses the ~196 ms `RouteTable::remask` epoch-install cost
-//! (BENCH_routed.json) to microseconds.
+//! is an `Arc` clone plus a `FaultSet` clone — no BFS sweep and no
+//! per-link [`EdgeMask`](polarstar_topo::fault::EdgeMask), so installing
+//! an epoch costs microseconds where `RouteTable::remask` reruns one
+//! masked BFS per destination (about a fresh table build; see
+//! `routing.remask_ms` in the perfbench `fault_walk` ledger).
 //!
 //! Equivalence contract (pinned by `tests/analytic_vs_table.rs`):
 //! distances and the full minimal next-hop sets equal a freshly masked
@@ -34,9 +39,9 @@
 
 use polarstar::network::PolarStarNetwork;
 use polarstar::routing::AnalyticRouter;
+use polarstar_graph::traversal::bfs_distances_masked;
 use polarstar_topo::fault::FaultSet;
 use polarstar_topo::oracle::{PathOracle, RouteError};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A table-free [`PathOracle`] over a PolarStar network: §9.2 analytic
@@ -107,17 +112,9 @@ impl AnalyticOracle {
         Ok(())
     }
 
-    /// Whether the undirected edge `u – v` is out of the *distance*
-    /// relation (`RouteTable` BFS runs on the degraded graph, where an
-    /// edge dies when either direction or either endpoint fails).
-    #[inline]
-    fn edge_dead(&self, u: u32, v: u32) -> bool {
-        self.faults.link_failed(u, v) || self.faults.link_failed(v, u)
-    }
-
     #[inline]
     fn pristine_distance(&self, src: u32, dst: u32) -> u32 {
-        self.router.route(src, dst).len() as u32
+        self.router.distance(src, dst)
     }
 
     /// Whether some pristine-minimal path of length `r` from `v` to
@@ -130,7 +127,7 @@ impl AnalyticOracle {
             return true;
         }
         for &nb in self.network().graph().neighbors(v) {
-            if self.edge_dead(v, nb) {
+            if self.faults.link_dead(v, nb) {
                 continue;
             }
             if self.pristine_distance(nb, dst) == r - 1 && self.survives(nb, dst, r - 1) {
@@ -140,32 +137,32 @@ impl AnalyticOracle {
         false
     }
 
-    /// Exact degraded-graph BFS distances from `dst` — the escalation
-    /// path for queries whose minimal DAG the mask severed. O(n)
-    /// transient, nothing cached.
-    fn degraded_distances_from(&self, dst: u32) -> Vec<u32> {
-        let g = self.network().graph();
-        let mut dist = vec![u32::MAX; g.n()];
-        self.degraded_distances_into(dst, &mut dist);
-        dist
+    /// Exact degraded-graph BFS distances toward `dst` into `dist` —
+    /// the escalation path for queries whose minimal DAG the mask
+    /// severed. O(n) transient, nothing cached.
+    fn degraded_distances_into(&self, dst: u32, dist: &mut Vec<u32>) {
+        let faults = &self.faults;
+        let usable = |_, u, v| !faults.link_dead(u, v);
+        bfs_distances_masked(self.network().graph(), dst, usable, dist, &mut Vec::new());
     }
 
-    /// [`AnalyticOracle::degraded_distances_from`] into a caller buffer
-    /// (already sized `n` and filled with `u32::MAX`).
-    fn degraded_distances_into(&self, dst: u32, dist: &mut [u32]) {
-        let g = self.network().graph();
-        dist[dst as usize] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(dst);
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v as usize];
-            for &nb in g.neighbors(v) {
-                if dist[nb as usize] != u32::MAX || self.edge_dead(v, nb) {
-                    continue;
-                }
-                dist[nb as usize] = dv + 1;
-                queue.push_back(nb);
-            }
+    /// The faulted-query case split shared by [`PathOracle::distance`]
+    /// and [`PathOracle::min_next_hops`]: `Ok(None)` when a pristine-
+    /// minimal path survives (the pristine distance holds), otherwise the
+    /// degraded column toward `dst` with `src` known reachable.
+    fn faulted_column(&self, src: u32, dst: u32) -> Result<Option<Vec<u32>>, RouteError> {
+        let unreachable = RouteError::Unreachable { src, dst };
+        if self.faults.router_failed(src) || self.faults.router_failed(dst) {
+            return Err(unreachable);
+        }
+        if self.survives(src, dst, self.pristine_distance(src, dst)) {
+            return Ok(None);
+        }
+        let mut dist = Vec::new();
+        self.degraded_distances_into(dst, &mut dist);
+        match dist[src as usize] {
+            u32::MAX => Err(unreachable),
+            _ => Ok(Some(dist)),
         }
     }
 }
@@ -181,61 +178,48 @@ impl PathOracle for AnalyticOracle {
         if src == dst {
             return Ok(0);
         }
-        let unreachable = RouteError::Unreachable { src, dst };
         if self.faults.is_empty() {
             return Ok(self.pristine_distance(src, dst));
         }
-        if self.faults.router_failed(src) || self.faults.router_failed(dst) {
-            return Err(unreachable);
-        }
-        let d = self.pristine_distance(src, dst);
-        if self.survives(src, dst, d) {
-            return Ok(d);
-        }
-        match self.degraded_distances_from(dst)[src as usize] {
-            u32::MAX => Err(unreachable),
-            dd => Ok(dd),
-        }
+        Ok(match self.faulted_column(src, dst)? {
+            None => self.pristine_distance(src, dst),
+            Some(dist) => dist[src as usize],
+        })
     }
 
     fn min_next_hops(&self, src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
-        let d = self.distance(src, dst)?;
-        if d == 0 {
+        self.check(src)?;
+        self.check(dst)?;
+        if src == dst {
             return Ok(());
         }
         // Pristine neighbor order is ascending router id — the same
         // port order `RouteTable` stores, so the sets match verbatim.
         let nbrs = self.network().graph().neighbors(src);
+        let d = self.pristine_distance(src, dst);
         if self.faults.is_empty() {
-            for &nb in nbrs {
-                if self.pristine_distance(nb, dst) + 1 == d {
-                    out.push(nb);
-                }
-            }
+            out.extend(
+                nbrs.iter()
+                    .filter(|&&nb| self.pristine_distance(nb, dst) + 1 == d),
+            );
             return Ok(());
         }
-        if self.pristine_distance(src, dst) == d {
+        match self.faulted_column(src, dst)? {
             // The minimal DAG survives: a neighbor is a port iff its
             // *directed* link is alive (the table's port rule) and a
             // surviving minimal continuation exists.
-            for &nb in nbrs {
-                if !self.faults.link_failed(src, nb)
+            None => out.extend(nbrs.iter().filter(|&&nb| {
+                !self.faults.link_failed(src, nb)
                     && self.pristine_distance(nb, dst) + 1 == d
                     && self.survives(nb, dst, d - 1)
-                {
-                    out.push(nb);
-                }
-            }
-        } else {
-            let dist = self.degraded_distances_from(dst);
-            for &nb in nbrs {
-                if !self.faults.link_failed(src, nb)
+            })),
+            // Severed: one degraded search gives both the distance and
+            // the ports.
+            Some(dist) => out.extend(nbrs.iter().filter(|&&nb| {
+                !self.faults.link_failed(src, nb)
                     && dist[nb as usize] != u32::MAX
                     && dist[nb as usize] + 1 == dist[src as usize]
-                {
-                    out.push(nb);
-                }
-            }
+            })),
         }
         Ok(())
     }
@@ -263,7 +247,6 @@ impl PathOracle for AnalyticOracle {
             return true;
         }
         if !self.faults.is_empty() {
-            out.resize(n, u32::MAX);
             self.degraded_distances_into(dst, out);
             return true;
         }

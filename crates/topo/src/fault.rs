@@ -15,6 +15,13 @@
 //! *either* direction is failed — BFS-based distance computations treat a
 //! half-dead link as dead, which is conservative and keeps every derived
 //! path usable in both simulators.
+//!
+//! The two rules — the directed port rule [`FaultSet::link_failed`] and
+//! the undirected distance rule [`FaultSet::link_dead`] — are answered
+//! by binary search per query. Consumers that sweep whole graphs per
+//! epoch (route tables, motif parent trees) compile them once into an
+//! [`EdgeMask`], one flag byte per directed CSR slot, and then pay a
+//! single load per edge visit.
 
 use polarstar_graph::Graph;
 use rand::seq::SliceRandom;
@@ -113,6 +120,49 @@ impl FaultSet {
         self.links.binary_search(&(u, v)).is_ok() || self.router_failed(u) || self.router_failed(v)
     }
 
+    /// Whether the undirected edge `u – v` is out of the *distance*
+    /// relation: either direction failed, or either endpoint router. This
+    /// is the rule [`FaultSet::degraded_graph`] and [`EdgeMask::dead`]
+    /// apply, stated once.
+    #[inline]
+    pub fn link_dead(&self, u: u32, v: u32) -> bool {
+        self.link_failed(u, v) || self.link_failed(v, u)
+    }
+
+    /// Compile both fault rules into per-slot flags over `g`'s directed
+    /// CSR slots ([`Graph::edge_id`] order). Only slots touching an
+    /// explicit fault are inspected, so the cost is O(directed slots)
+    /// for the zeroed buffer plus O(faults · log degree).
+    pub fn edge_mask(&self, g: &Graph) -> EdgeMask {
+        let n = g.n() as u32;
+        let mut flags = vec![0u8; g.directed_edge_count()];
+        let mut mark = |u: u32, v: u32| {
+            if u >= n || v >= n {
+                return;
+            }
+            if let Some(e) = g.edge_id(u, v) {
+                flags[e as usize] = if self.link_failed(u, v) {
+                    EdgeMask::FAILED | EdgeMask::DEAD
+                } else if self.link_dead(u, v) {
+                    EdgeMask::DEAD
+                } else {
+                    0
+                };
+            }
+        };
+        for &(u, v) in &self.links {
+            mark(u, v);
+            mark(v, u);
+        }
+        for &r in self.routers.iter().filter(|&&r| r < n) {
+            for &v in g.neighbors(r) {
+                mark(r, v);
+                mark(v, r);
+            }
+        }
+        EdgeMask { flags }
+    }
+
     /// Whether router `r` is failed.
     #[inline]
     pub fn router_failed(&self, r: u32) -> bool {
@@ -137,9 +187,7 @@ impl FaultSet {
         if self.is_empty() {
             return 0;
         }
-        g.edges()
-            .filter(|&(u, v)| self.link_failed(u, v) || self.link_failed(v, u))
-            .count()
+        g.edges().filter(|&(u, v)| self.link_dead(u, v)).count()
     }
 
     /// The degraded router graph: `g` minus every edge with a failed
@@ -150,10 +198,7 @@ impl FaultSet {
         if self.is_empty() {
             return g.clone();
         }
-        let dead: Vec<(u32, u32)> = g
-            .edges()
-            .filter(|&(u, v)| self.link_failed(u, v) || self.link_failed(v, u))
-            .collect();
+        let dead: Vec<(u32, u32)> = g.edges().filter(|&(u, v)| self.link_dead(u, v)).collect();
         g.without_edges(&dead)
     }
 
@@ -190,6 +235,37 @@ impl FaultSet {
                 .filter(|r| other.routers.binary_search(r).is_err())
                 .collect(),
         }
+    }
+}
+
+/// A [`FaultSet`] compiled against one graph: two flags per directed
+/// CSR slot, indexed by [`Graph::edge_id`] (equivalently, by
+/// `edge_range(u)` zipped with `neighbors(u)`).
+///
+/// * [`EdgeMask::failed`] — the directed port rule
+///   ([`FaultSet::link_failed`]): the link `u → v` cannot carry traffic.
+/// * [`EdgeMask::dead`] — the distance rule ([`FaultSet::link_dead`]):
+///   the undirected edge is out of shortest-path search, because either
+///   direction or either endpoint failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EdgeMask {
+    flags: Vec<u8>,
+}
+
+impl EdgeMask {
+    const FAILED: u8 = 1;
+    const DEAD: u8 = 2;
+
+    /// Whether the directed link in slot `e` is failed (port rule).
+    #[inline]
+    pub fn failed(&self, e: u32) -> bool {
+        self.flags[e as usize] & Self::FAILED != 0
+    }
+
+    /// Whether the undirected edge in slot `e` is dead (distance rule).
+    #[inline]
+    pub fn dead(&self, e: u32) -> bool {
+        self.flags[e as usize] & Self::DEAD != 0
     }
 }
 
@@ -402,6 +478,28 @@ mod tests {
         assert_eq!(d.degree(2), 0);
         assert_eq!(d.m(), g.m() - 4);
         assert_eq!(f.failed_edge_count(&g), 4);
+    }
+
+    #[test]
+    fn edge_mask_matches_point_rules_on_every_slot() {
+        let g = Graph::complete(7);
+        let f = FaultSet::from_links([(0, 1)])
+            .union(&FaultSet::from_directed_links([(2, 3), (4, 9)]))
+            .union(&FaultSet::from_routers([5, 40]));
+        let mask = f.edge_mask(&g);
+        for u in 0..7u32 {
+            for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
+                assert_eq!(mask.failed(e), f.link_failed(u, v), "{u}→{v}");
+                assert_eq!(mask.dead(e), f.link_dead(u, v), "{u}–{v}");
+            }
+        }
+        // A one-directional fault: the port rule keeps the reverse
+        // direction, the distance rule kills both.
+        let (fwd, rev) = (g.edge_id(2, 3).unwrap(), g.edge_id(3, 2).unwrap());
+        assert!(mask.failed(fwd) && !mask.failed(rev));
+        assert!(mask.dead(fwd) && mask.dead(rev));
+        let clear = FaultSet::empty().edge_mask(&g);
+        assert!((0..g.directed_edge_count() as u32).all(|e| !clear.failed(e) && !clear.dead(e)));
     }
 
     #[test]

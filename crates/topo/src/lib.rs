@@ -55,7 +55,7 @@ pub mod star;
 pub mod supernode;
 
 pub use error::TopoError;
-pub use fault::{FaultEvent, FaultSchedule, FaultSet};
+pub use fault::{EdgeMask, FaultEvent, FaultSchedule, FaultSet};
 pub use network::{NetworkSpec, RoutingPolicy};
 pub use oracle::{PathOracle, RouteError};
 pub use supernode::Supernode;

@@ -31,7 +31,7 @@ use polarstar_motifs::netmodel::{MotifConfig, MotifError, NetModel, RoutingMode}
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::stats::recovery_analysis;
 use polarstar_netsim::{
-    simulate_monitored, MetricsMonitor, PairMonitor, Pattern, SimConfig, TransientMonitor,
+    simulate_overlay_monitored, MetricsMonitor, PairMonitor, Pattern, SimConfig, TransientMonitor,
 };
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::FaultSchedule;
@@ -94,10 +94,11 @@ fn main() {
                 MetricsMonitor::new(if quick { 64 } else { 256 }),
                 TransientMonitor::new(bucket),
             );
-            let r = simulate_monitored(
+            let r = simulate_overlay_monitored(
                 &spec,
                 &table,
                 RoutingKind::MinMulti,
+                None,
                 &Pattern::Uniform,
                 load,
                 &run_cfg,

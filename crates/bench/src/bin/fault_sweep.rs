@@ -27,7 +27,7 @@ use polarstar_netsim::engine::SimConfig;
 use polarstar_netsim::monitor::MetricsMonitor;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::stats::saturation_search;
-use polarstar_netsim::{simulate_monitored, Pattern};
+use polarstar_netsim::{simulate_overlay_monitored, Pattern};
 use polarstar_topo::FaultSet;
 use rayon::prelude::*;
 
@@ -106,10 +106,11 @@ fn main() {
             // degraded paths and count unroutable drops.
             let load = (sat * 0.5).max(0.05);
             let mut mon = MetricsMonitor::new(if quick { 64 } else { 256 });
-            let r = simulate_monitored(
+            let r = simulate_overlay_monitored(
                 &spec,
                 &table,
                 RoutingKind::MinMulti,
+                None,
                 &Pattern::Uniform,
                 load,
                 &cfg,

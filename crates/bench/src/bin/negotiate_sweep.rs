@@ -36,11 +36,9 @@ use bench::{
     engine_threads, metrics_dir, only_filter, quick_mode, sequential_mode, table3_network,
     RunManifest,
 };
-use polarstar_netsim::engine::{
-    simulate, simulate_negotiated, simulate_overlay, simulate_overlay_monitored, SimConfig,
-};
+use polarstar_netsim::engine::{simulate, simulate_overlay_monitored, SimConfig};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
-use polarstar_netsim::monitor::MetricsMonitor;
+use polarstar_netsim::monitor::{MetricsMonitor, NoopMonitor};
 use polarstar_netsim::negotiate::{NegotiateConfig, NegotiatedRoutes};
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
@@ -184,15 +182,25 @@ fn sweep_cell(
             let r = match mode {
                 Mode::Min => simulate(&spec, &table, RoutingKind::MinMulti, pattern, load, cfg),
                 Mode::Ugal => simulate(&spec, &table, RoutingKind::ugal4(), pattern, load, cfg),
-                Mode::Neg => simulate_negotiated(&spec, &table, &neg, pattern, load, cfg),
-                Mode::UgalHist => simulate_overlay(
+                Mode::Neg => simulate_overlay_monitored(
                     &spec,
                     &table,
-                    RoutingKind::ugal4(),
-                    &neg,
+                    RoutingKind::Negotiated,
+                    Some(&neg),
                     pattern,
                     load,
                     cfg,
+                    &mut NoopMonitor,
+                ),
+                Mode::UgalHist => simulate_overlay_monitored(
+                    &spec,
+                    &table,
+                    RoutingKind::ugal4(),
+                    Some(&neg),
+                    pattern,
+                    load,
+                    cfg,
+                    &mut NoopMonitor,
                 ),
             };
             rows.push(format!(

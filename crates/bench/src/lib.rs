@@ -182,7 +182,7 @@ pub fn only_filter() -> Option<Vec<String>> {
 /// Engine worker threads from `--engine-threads <n>` for the sharded
 /// cycle engine (`SimConfig::threads`). Results are bit-identical for
 /// every value; this trades sweep-level for run-level parallelism (see
-/// EXPERIMENTS.md). Absent or `<= 1` means the sequential engine.
+/// EXPERIMENTS.md). Absent or `<= 1` means one engine thread.
 pub fn engine_threads() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
     args.windows(2)

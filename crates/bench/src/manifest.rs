@@ -206,7 +206,7 @@ mod tests {
     use polarstar_graph::Graph;
     use polarstar_netsim::monitor::MetricsMonitor;
     use polarstar_netsim::routing::{RouteTable, RoutingKind};
-    use polarstar_netsim::{simulate_monitored, Pattern};
+    use polarstar_netsim::{simulate_overlay_monitored, Pattern};
 
     #[test]
     fn topology_only_manifest_shape() {
@@ -235,10 +235,11 @@ mod tests {
             ..SimConfig::default()
         };
         let mut mon = MetricsMonitor::new(64);
-        simulate_monitored(
+        simulate_overlay_monitored(
             &spec,
             &table,
             RoutingKind::MinMulti,
+            None,
             &Pattern::Uniform,
             0.3,
             &cfg,

@@ -12,7 +12,7 @@
 //! run. See EXPERIMENTS.md for when to prefer which.
 
 use crate::{table3_network, RunManifest};
-use polarstar_netsim::engine::{simulate, simulate_monitored, SimConfig};
+use polarstar_netsim::engine::{simulate, simulate_overlay_monitored, SimConfig};
 use polarstar_netsim::monitor::MetricsMonitor;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
@@ -202,10 +202,11 @@ pub fn write_manifests(
         let net = table3_network(key).expect("Table 3 config");
         let table = RouteTable::for_spec(&net);
         let mut mon = MetricsMonitor::new(sample_every);
-        simulate_monitored(
+        simulate_overlay_monitored(
             &net,
             &table,
             point.kind,
+            None,
             &point.pattern,
             point.load,
             cfg,

@@ -8,8 +8,9 @@
 
 use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
-use polarstar_netsim::engine::{simulate_negotiated, simulate_overlay, SimConfig};
+use polarstar_netsim::engine::{simulate_overlay_monitored, SimConfig};
 use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
+use polarstar_netsim::monitor::NoopMonitor;
 use polarstar_netsim::negotiate::{NegotiateConfig, NegotiatedRoutes};
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::{engine_resolve_seed, Pattern};
@@ -122,44 +123,26 @@ fn negotiated_engine_identical_across_thread_counts() {
         threads,
         ..SimConfig::default()
     };
-    let neg_base = simulate_negotiated(
-        &spec,
-        &table,
-        &neg,
-        &Pattern::AdversarialGroup,
-        0.15,
-        &cfg(None),
-    );
+    let run = |kind: RoutingKind, threads: Option<usize>| {
+        simulate_overlay_monitored(
+            &spec,
+            &table,
+            kind,
+            Some(&neg),
+            &Pattern::AdversarialGroup,
+            0.15,
+            &cfg(threads),
+            &mut NoopMonitor,
+        )
+    };
+    let neg_base = run(RoutingKind::Negotiated, None);
     assert!(neg_base.measured_ejected > 0, "{neg_base:?}");
-    let hist_base = simulate_overlay(
-        &spec,
-        &table,
-        RoutingKind::ugal4(),
-        &neg,
-        &Pattern::AdversarialGroup,
-        0.15,
-        &cfg(None),
-    );
+    let hist_base = run(RoutingKind::ugal4(), None);
     assert!(hist_base.measured_ejected > 0, "{hist_base:?}");
     for threads in [1usize, 4] {
-        let neg_t = simulate_negotiated(
-            &spec,
-            &table,
-            &neg,
-            &Pattern::AdversarialGroup,
-            0.15,
-            &cfg(Some(threads)),
-        );
+        let neg_t = run(RoutingKind::Negotiated, Some(threads));
         assert_eq!(neg_base, neg_t, "NEG diverges at threads={threads}");
-        let hist_t = simulate_overlay(
-            &spec,
-            &table,
-            RoutingKind::ugal4(),
-            &neg,
-            &Pattern::AdversarialGroup,
-            0.15,
-            &cfg(Some(threads)),
-        );
+        let hist_t = run(RoutingKind::ugal4(), Some(threads));
         assert_eq!(hist_base, hist_t, "UGAL-H diverges at threads={threads}");
     }
 }

@@ -488,10 +488,10 @@ pub fn alltoall(
 }
 
 /// Simulated completion time (ns) of a pipelined multi-tree broadcast:
-/// `bytes` are split across the given edge-disjoint spanning trees (from
-/// `polarstar-analysis`), each chunk flooding its own tree from the
-/// router actually hosting rank 0 — the in-network-collective pattern of
-/// the Dawkins et al. extension.
+/// `bytes` are split across the given edge-disjoint spanning trees
+/// (from [`polarstar_graph::edst::greedy_edst`]), each chunk flooding
+/// its own tree from the router actually hosting rank 0 — the
+/// in-network-collective pattern of the Dawkins et al. extension.
 pub fn tree_broadcast(
     model: &mut NetModel,
     trees: &[Vec<(u32, u32)>],
@@ -562,9 +562,9 @@ mod extension_tests {
 
     #[test]
     fn multi_tree_broadcast_beats_single_tree() {
-        use polarstar_analysis::spanning::edge_disjoint_spanning_trees;
+        use polarstar_graph::edst::greedy_edst;
         let g = Graph::complete(10);
-        let trees = edge_disjoint_spanning_trees(&g);
+        let trees = greedy_edst(&g);
         assert!(trees.len() >= 2);
         let spec = NetworkSpec::uniform("k10", g, 1);
         let multi = tree_broadcast(
@@ -588,11 +588,11 @@ mod extension_tests {
     fn broadcast_on_polarstar_trees() {
         use polarstar::design::best_config;
         use polarstar::network::PolarStarNetwork;
-        use polarstar_analysis::spanning::edge_disjoint_spanning_trees;
+        use polarstar_graph::edst::greedy_edst;
         let net = PolarStarNetwork::build(best_config(9).unwrap(), 1)
             .unwrap()
             .spec;
-        let trees = edge_disjoint_spanning_trees(&net.graph);
+        let trees = greedy_edst(&net.graph);
         assert!(trees.len() >= 2, "PolarStar packs ≥ 2 trees");
         let t = tree_broadcast(
             &mut NetModel::new(net, MotifConfig::default()),

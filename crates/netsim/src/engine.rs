@@ -26,10 +26,10 @@
 //!   per-slot sort is needed. All cross-router effects land at least one
 //!   cycle in the future, so one barrier per cycle suffices.
 //!
-//! The sequential path (`threads: None`) runs the identical shard code
-//! inline over a single whole-network shard — sequential and sharded
-//! results are bit-identical by construction, which
-//! `tests/determinism.rs` locks in.
+//! One run loop (`sharded::run`) serves every shard count. A single
+//! whole-network shard (`threads: None`) takes the same cycle loop on
+//! the caller's thread, so results are bit-identical at every thread
+//! count by construction, which `tests/determinism.rs` locks in.
 //!
 //! Hot-path state lives in flat arenas: input queues are fixed-capacity
 //! ring buffers in one `u32` arena, credits/busy-horizons/round-robin
@@ -85,9 +85,10 @@ pub struct SimConfig {
     pub drain_cycles: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Engine worker threads for one run: `None` (or `Some(0|1)`) runs
-    /// the single-threaded path; `Some(t)` shards routers across `t`
-    /// threads. Results are bit-identical for every setting.
+    /// Engine worker threads for one run: `Some(t)` shards routers
+    /// across `t` threads (clamped to `1..=routers`); `None` or
+    /// `Some(0|1)` runs one shard on the caller's thread. Results are
+    /// bit-identical for every setting.
     pub threads: Option<usize>,
     /// Timed mid-run fault events, layered on top of the spec's static
     /// [`polarstar_topo::FaultSet`]. `None` keeps faults static for the
@@ -335,7 +336,8 @@ enum Tie {
 }
 
 /// Simulate `spec` under `pattern` at `load` (fraction of injection
-/// bandwidth) with the given routing.
+/// bandwidth) with the given routing: [`simulate_overlay_monitored`]
+/// with no overlay and no monitor.
 pub fn simulate(
     spec: &NetworkSpec,
     table: &RouteTable,
@@ -344,71 +346,11 @@ pub fn simulate(
     load: f64,
     cfg: &SimConfig,
 ) -> SimResult {
-    simulate_monitored(spec, table, kind, pattern, load, cfg, &mut NoopMonitor)
-}
-
-/// [`simulate`] with instrumentation: every engine event is reported to
-/// `monitor` (see [`crate::monitor`]). The plain path uses
-/// [`NoopMonitor`], whose hooks monomorphize to nothing. In sharded mode
-/// each worker reports into a fork of `monitor`, absorbed back in shard
-/// order when the run ends.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_monitored<M: ShardableMonitor>(
-    spec: &NetworkSpec,
-    table: &RouteTable,
-    kind: RoutingKind,
-    pattern: &Pattern,
-    load: f64,
-    cfg: &SimConfig,
-    monitor: &mut M,
-) -> SimResult {
-    simulate_overlay_monitored(spec, table, kind, None, pattern, load, cfg, monitor)
-}
-
-/// Simulate with an offline-negotiated route overlay attached
-/// ([`RoutingKind::Negotiated`] forwards along the overlay's per-pair
-/// paths, falling back to the first minimal port when a fault kills a
-/// negotiated hop).
-pub fn simulate_negotiated(
-    spec: &NetworkSpec,
-    table: &RouteTable,
-    neg: &NegotiatedRoutes,
-    pattern: &Pattern,
-    load: f64,
-    cfg: &SimConfig,
-) -> SimResult {
-    simulate_overlay_monitored(
-        spec,
-        table,
-        RoutingKind::Negotiated,
-        Some(neg),
-        pattern,
-        load,
-        cfg,
-        &mut NoopMonitor,
-    )
-}
-
-/// Simulate any routing kind with a negotiated overlay attached: under
-/// [`RoutingKind::Negotiated`] packets follow the overlay's paths; under
-/// every other kind the overlay's accumulated historic congestion costs
-/// are added to [`Shard::port_cost`], so `Ugal` scores its candidates
-/// with offline knowledge of persistent contention (historic-cost-
-/// informed UGAL).
-pub fn simulate_overlay(
-    spec: &NetworkSpec,
-    table: &RouteTable,
-    kind: RoutingKind,
-    neg: &NegotiatedRoutes,
-    pattern: &Pattern,
-    load: f64,
-    cfg: &SimConfig,
-) -> SimResult {
     simulate_overlay_monitored(
         spec,
         table,
         kind,
-        Some(neg),
+        None,
         pattern,
         load,
         cfg,
@@ -416,8 +358,21 @@ pub fn simulate_overlay(
     )
 }
 
-/// [`simulate_monitored`] with an optional negotiated overlay — the
-/// common entry every public `simulate*` front-end delegates to.
+/// The engine's entry point. Simulates `spec` under `pattern` at `load`
+/// with routing `kind`, an optional negotiated overlay, and `monitor`.
+///
+/// * `neg`: under [`RoutingKind::Negotiated`] (which requires it)
+///   packets follow the overlay's per-pair paths, falling back to the
+///   first minimal port when a fault kills a negotiated hop. Under
+///   every other kind the overlay's historic congestion costs are added
+///   to [`Shard::port_cost`], so `Ugal` scores its candidates with
+///   offline knowledge of persistent contention (historic-cost-informed
+///   UGAL).
+/// * `monitor`: every engine event is reported to it (see
+///   [`crate::monitor`]); [`NoopMonitor`]'s hooks monomorphize to
+///   nothing. With more than one engine thread each shard reports into
+///   a fork of `monitor`, absorbed back in shard order when the run
+///   ends.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_overlay_monitored<M: ShardableMonitor>(
     spec: &NetworkSpec,
@@ -433,12 +388,7 @@ pub fn simulate_overlay_monitored<M: ShardableMonitor>(
     let resolved = resolve(pattern, spec, crate::traffic::engine_resolve_seed(cfg.seed));
     let ctx = Ctx::new(spec, table, kind, neg, resolved, load, cfg.clone());
     monitor.on_run_start(spec, &ctx.cfg);
-    let sample_every = monitor.sample_interval();
-    let (stats, cycles) = if ctx.shards() == 1 {
-        run_single(&ctx, sample_every, monitor)
-    } else {
-        crate::sharded::run(&ctx, sample_every, monitor)
-    };
+    let (stats, cycles) = crate::sharded::run(&ctx, monitor.sample_interval(), monitor);
     monitor.on_run_end(cycles);
     ctx.finalize(stats)
 }
@@ -610,7 +560,7 @@ impl<'a> Ctx<'a> {
         assert!(
             kind != RoutingKind::Negotiated || neg.is_some(),
             "RoutingKind::Negotiated requires a NegotiatedRoutes overlay \
-             (use simulate_negotiated)"
+             (pass one to simulate_overlay_monitored)"
         );
         let negotiated = neg.map(|nr| NegotiatedOverlay::build(spec, nr, &cfg));
         let mut deg_off = Vec::with_capacity(n + 1);
@@ -768,8 +718,7 @@ impl<'a> Ctx<'a> {
         self.epoch_dead_port[e][self.deg_off[r as usize] as usize + port]
     }
 
-    /// Fold merged shard statistics into the run result (identical math
-    /// to the original single-threaded engine).
+    /// Fold merged shard statistics into the run result.
     pub(crate) fn finalize(&self, mut stats: ShardStats) -> SimResult {
         let delivered = if stats.measured_generated == 0 {
             1.0
@@ -2055,52 +2004,6 @@ impl Shard {
     }
 }
 
-/// The single-threaded driver: one whole-network shard, no barriers, no
-/// mailboxes — the same phase code the sharded driver runs.
-fn run_single<M: SimMonitor>(
-    ctx: &Ctx,
-    sample_every: Option<u64>,
-    mon: &mut M,
-) -> (ShardStats, u64) {
-    let mut shard = Shard::new(ctx, 0);
-    let mut now = 0u64;
-    let mut cycles = ctx.hard_end;
-    let mut last_delivered = 0u64;
-    let mut stalled = 0u64;
-    while now < ctx.hard_end {
-        shard.step(ctx, now, sample_every, mon);
-        // Watchdog: `active` empties whenever nothing is buffered, so a
-        // growing stall counter means packets sit while nothing moves.
-        if let Some(wd) = ctx.cfg.watchdog_cycles {
-            let delivered = shard.stats.delivered_total();
-            if delivered == last_delivered && !shard.active.is_empty() {
-                stalled += 1;
-                if stalled >= wd {
-                    mon.on_watchdog(&shard.watchdog_diag(now + 1, stalled));
-                    shard.stats.set_watchdog_fired();
-                    cycles = now + 1;
-                    break;
-                }
-            } else {
-                stalled = 0;
-                last_delivered = delivered;
-            }
-        }
-        // Early exit once everything measured has drained (in-flight
-        // fault drops count as resolved).
-        if now + 1 >= ctx.end_measure
-            && shard.stats.measured_ejected + shard.stats.measured_faulted
-                == shard.stats.measured_generated
-            && shard.active.is_empty()
-        {
-            cycles = now + 1;
-            break;
-        }
-        now += 1;
-    }
-    (shard.take_stats(), cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2202,7 +2105,16 @@ mod tests {
         let plan = FlowPlan::build(&spec, &table, &comps, FlowRouting::EcmpSplit);
         let neg = NegotiatedRoutes::negotiate(&spec, &table, &plan, &NegotiateConfig::default());
         assert!(neg.converged());
-        let r = simulate_negotiated(&spec, &table, &neg, &Pattern::Permutation, 0.3, &cfg);
+        let r = simulate_overlay_monitored(
+            &spec,
+            &table,
+            RoutingKind::Negotiated,
+            Some(&neg),
+            &Pattern::Permutation,
+            0.3,
+            &cfg,
+            &mut NoopMonitor,
+        );
         assert!(r.stable, "K8 permutation at 30% under NEG: {r:?}");
         assert!(r.delivered_fraction > 0.999);
         // On K8 every negotiated path is the single-hop minimal one, so
@@ -2648,10 +2560,11 @@ mod fault_injection_tests {
             ..SimConfig::default()
         };
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
+        let r = simulate_overlay_monitored(
             &spec,
             &table,
             RoutingKind::MinMulti,
+            None,
             &Pattern::Uniform,
             0.3,
             &cfg,
@@ -2778,10 +2691,11 @@ mod live_fault_tests {
             ..SimConfig::default()
         };
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
+        let r = simulate_overlay_monitored(
             &spec,
             &table,
             RoutingKind::MinSingle,
+            None,
             &Pattern::Uniform,
             0.4,
             &cfg,
@@ -2836,8 +2750,8 @@ mod live_fault_tests {
     }
 
     /// The debug invariant pass (credit conservation, arena conservation,
-    /// queue bounds) holds through fault epochs on both the sequential
-    /// and the sharded engine.
+    /// queue bounds) holds through fault epochs at one shard and at
+    /// several.
     #[test]
     fn invariants_hold_through_fault_epochs() {
         let g = polarstar_graph::random::random_regular(24, 5, 2).unwrap();

@@ -59,8 +59,7 @@ pub mod stats;
 pub mod traffic;
 
 pub use engine::{
-    simulate, simulate_monitored, simulate_negotiated, simulate_overlay,
-    simulate_overlay_monitored, FaultResponse, SimConfig, SimConfigError, SimResult,
+    simulate, simulate_overlay_monitored, FaultResponse, SimConfig, SimConfigError, SimResult,
 };
 pub use flow::{
     FlowDemand, FlowNetwork, FlowPlan, FlowResult, FlowRouting, PlannedFlow, TrafficComponent,

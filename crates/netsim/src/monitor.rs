@@ -68,7 +68,7 @@ impl WatchdogDiag {
         self.zero_credit_ports += other.zero_credit_ports;
         self.total_credit_ports += other.total_credit_ports;
         self.oldest_packet_age = self.oldest_packet_age.max(other.oldest_packet_age);
-        // Keep the sample at the sequential engine's size (the 8 lowest
+        // Keep the sample at the one-shard run's size (the 8 lowest
         // router ids) so merged shard diags stay bit-identical to it.
         self.stuck_routers.extend_from_slice(&other.stuck_routers);
         self.stuck_routers.sort_unstable();
@@ -127,7 +127,7 @@ pub trait SimMonitor {
 /// `on_run_start` / `on_run_end` fire only on the parent monitor; forks
 /// see just the per-event hooks. Because every aggregate a monitor keeps
 /// is a sum (or an element-wise sum over fixed index spaces), absorbing
-/// shard collectors in a fixed order reproduces the sequential totals
+/// shard collectors in a fixed order reproduces the one-shard totals
 /// bit-for-bit.
 pub trait ShardableMonitor: SimMonitor + Send + Sized {
     /// An empty collector sharing this monitor's configuration.

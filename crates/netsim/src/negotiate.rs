@@ -31,10 +31,11 @@
 //! re-materialize a [`FlowNetwork`](crate::flow::FlowNetwork) over it
 //! via [`FlowRouting::SinglePath`](crate::flow::FlowRouting), and the
 //! cycle engine follows it with
-//! [`RoutingKind::Negotiated`](crate::routing::RoutingKind) through
-//! [`simulate_negotiated`](crate::engine::simulate_negotiated) (which
-//! also feeds the accumulated historic costs into UGAL's candidate
-//! scoring — see [`simulate_overlay`](crate::engine::simulate_overlay)).
+//! [`RoutingKind::Negotiated`](crate::routing::RoutingKind) when it is
+//! passed as the overlay of
+//! [`simulate_overlay_monitored`](crate::engine::simulate_overlay_monitored),
+//! which under any other routing kind feeds the accumulated historic
+//! costs into UGAL's candidate scoring.
 
 use crate::engine::splitmix64;
 use crate::flow::FlowPlan;

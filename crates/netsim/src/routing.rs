@@ -35,10 +35,10 @@ pub enum RoutingKind {
         candidates: usize,
     },
     /// Follow an offline congestion-negotiated per-pair assignment
-    /// ([`crate::negotiate::NegotiatedRoutes`]). Requires the overlay —
-    /// use [`crate::engine::simulate_negotiated`]. Packets off the
-    /// negotiated path (or whose negotiated hop died in the current
-    /// fault epoch) fall back to the first minimal port.
+    /// ([`crate::negotiate::NegotiatedRoutes`]). Requires the overlay
+    /// argument of [`crate::engine::simulate_overlay_monitored`].
+    /// Packets off the negotiated path (or whose negotiated hop died in
+    /// the current fault epoch) fall back to the first minimal port.
     Negotiated,
 }
 
@@ -109,8 +109,8 @@ impl RouteTable {
     /// let df = RouteTable::builder(&df.graph).group(&df.group).build();
     /// ```
     ///
-    /// [`RouteTable::for_spec`] / [`RouteTable::build`] are thin wrappers
-    /// over this builder for the spec-carrying hot call sites.
+    /// [`RouteTable::for_spec`] is a thin wrapper over this builder for
+    /// the spec-carrying hot call sites.
     pub fn builder(graph: &Graph) -> RouteTableBuilder<'_> {
         RouteTableBuilder {
             graph,
@@ -124,21 +124,14 @@ impl RouteTable {
     /// between flat and hierarchical minimal tables, and its
     /// [`FaultSet`] masks failed links/routers out of both distances and
     /// minimal-port sets — so callers no longer match on display names or
-    /// special-case degraded networks.
+    /// special-case degraded networks. Distances come from the degraded
+    /// graph and minimal ports skip failed links, but the neighbor CSR
+    /// keeps the *pristine* port numbering so engine-side port indices
+    /// stay aligned with the physical topology.
     pub fn for_spec(spec: &NetworkSpec) -> Self {
-        Self::build(spec, spec.routing_policy())
-    }
-
-    /// Build a table for `spec` under an explicit policy (e.g. to compare
-    /// flat vs hierarchical tables on the same topology). Honors the
-    /// spec's fault mask: distances come from the degraded graph, minimal
-    /// ports skip failed links, but the neighbor CSR keeps the *pristine*
-    /// port numbering so engine-side port indices stay aligned with the
-    /// physical topology.
-    pub fn build(spec: &NetworkSpec, policy: RoutingPolicy) -> Self {
         Self::builder(&spec.graph)
             .group(&spec.group)
-            .policy(policy)
+            .policy(spec.routing_policy())
             .faults(spec.faults())
             .build()
     }

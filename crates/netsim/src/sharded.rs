@@ -1,21 +1,21 @@
-//! The sharded cycle driver: runs one simulation across worker threads,
-//! bit-identical to the sequential engine.
+//! The run loop: runs one simulation over `ctx.shards()` router
+//! shards, one per thread, bit-identical at every shard count.
 //!
-//! Each thread owns a contiguous shard of routers ([`Shard`]). A
+//! Each shard owns a contiguous range of routers ([`Shard`]). A
 //! simulated cycle is one compute phase per shard followed by a single
 //! barrier:
 //!
 //! 1. **Drain** — pull cross-shard events published during the previous
 //!    cycle from this shard's mailboxes (in ascending source-shard
-//!    order; delivery order inside a cycle is canonicalized by the
-//!    engine's per-slot sort, so drain order cannot matter).
+//!    order; event delivery is order-insensitive — see the engine
+//!    docs — so drain order cannot matter).
 //! 2. **Step** — generation, delivery, and switch allocation over the
 //!    shard's routers (`Shard::step`).
 //! 3. **Publish** — swap each non-empty outbox into the destination
 //!    shard's mailbox and post this shard's cumulative progress
 //!    counters.
 //! 4. **Barrier** — after it, every shard reads the same progress
-//!    snapshot and makes the same exit decision.
+//!    snapshot and makes the same watchdog and drain-exit decision.
 //!
 //! One barrier per cycle is enough because every cross-router effect
 //! (packet arrival, credit return) is scheduled at least one cycle in
@@ -25,9 +25,13 @@
 //! from parity `(c + 1) & 1 ^ 1`; the buffers of parity `c & 1` are not
 //! written again until cycle `c + 2`, by which time the barrier at the
 //! end of cycle `c + 1` has ordered the drain before the write.
+//!
+//! A one-shard run takes the same loop on the caller's thread with the
+//! caller's monitor: it has no mailbox to touch, and its barrier and
+//! progress slots cost a few uncontended atomic operations per cycle.
 
 use crate::engine::{Ctx, Ev, Shard, ShardStats};
-use crate::monitor::ShardableMonitor;
+use crate::monitor::{ShardableMonitor, SimMonitor};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -83,152 +87,189 @@ struct Progress {
     active: AtomicBool,
 }
 
+/// Network-wide sum of one cycle's [`Progress`] slots.
+#[derive(Default)]
+struct Totals {
+    generated: u64,
+    ejected: u64,
+    faulted: u64,
+    delivered: u64,
+    any_active: bool,
+}
+
 type Mailbox = Mutex<Vec<(u64, Ev)>>;
 
-/// Run the simulation over `ctx.shards()` worker threads and return the
-/// merged statistics and the cycle count, exactly as `run_single` would.
+/// What the shards share: the cycle barrier, the cross-shard mailboxes
+/// (`mailboxes[parity][dst][src]`) and the progress slots
+/// (`progress[parity * shards + shard]`).
+struct Exchange {
+    shards: usize,
+    barrier: SpinBarrier,
+    mailboxes: [Vec<Vec<Mailbox>>; 2],
+    progress: Vec<Progress>,
+}
+
+impl Exchange {
+    fn new(shards: usize) -> Self {
+        let mailboxes = || {
+            (0..shards)
+                .map(|_| (0..shards).map(|_| Mutex::new(Vec::new())).collect())
+                .collect()
+        };
+        Exchange {
+            shards,
+            barrier: SpinBarrier::new(shards),
+            mailboxes: [mailboxes(), mailboxes()],
+            progress: (0..2 * shards).map(|_| Progress::default()).collect(),
+        }
+    }
+
+    /// Sum the progress slots every shard posted for cycle parity
+    /// `parity`; call after the barrier.
+    fn totals(&self, parity: usize) -> Totals {
+        let mut t = Totals::default();
+        for p in &self.progress[parity * self.shards..(parity + 1) * self.shards] {
+            t.generated += p.generated.load(Ordering::Relaxed);
+            t.ejected += p.ejected.load(Ordering::Relaxed);
+            t.faulted += p.faulted.load(Ordering::Relaxed);
+            t.delivered += p.delivered.load(Ordering::Relaxed);
+            t.any_active |= p.active.load(Ordering::Relaxed);
+        }
+        t
+    }
+}
+
+/// Run the simulation over `ctx.shards()` shards and return the merged
+/// statistics and the cycle count. One shard runs on the caller's
+/// thread with `monitor` itself; more shards run one thread each, every
+/// thread reporting into a fork of `monitor` that is absorbed back in
+/// shard order.
 pub(crate) fn run<M: ShardableMonitor>(
     ctx: &Ctx,
     sample_every: Option<u64>,
     monitor: &mut M,
 ) -> (ShardStats, u64) {
-    let s = ctx.shards();
-    let barrier = SpinBarrier::new(s);
-    // mailboxes[parity][dst][src], progress[parity * s + shard].
-    let mailboxes: Vec<Vec<Vec<Mailbox>>> = (0..2)
-        .map(|_| {
-            (0..s)
-                .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
-                .collect()
-        })
-        .collect();
-    let progress: Vec<Progress> = (0..2 * s).map(|_| Progress::default()).collect();
-
-    let mut forks: Vec<M> = (0..s).map(|_| monitor.fork()).collect();
-    let results: Vec<(ShardStats, M, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..s)
+    let x = Exchange::new(ctx.shards());
+    if x.shards == 1 {
+        return run_shard(ctx, &x, 0, sample_every, monitor);
+    }
+    let results: Vec<(ShardStats, u64, M)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..x.shards)
             .map(|id| {
-                let mut mon = forks.pop().unwrap();
-                let barrier = &barrier;
-                let mailboxes = &mailboxes;
-                let progress = &progress;
+                let mut mon = monitor.fork();
+                let x = &x;
                 scope.spawn(move || {
-                    // forks were popped back-to-front; id order is
-                    // restored when collecting below.
-                    let id = s - 1 - id;
-                    let mut shard = Shard::new(ctx, id);
-                    let mut scratch: Vec<(u64, Ev)> = Vec::new();
-                    let mut now = 0u64;
-                    let mut cycles = ctx.hard_end;
-                    // Watchdog state: every thread derives it from the
-                    // same post-barrier snapshot, so all shards reach
-                    // the same stall verdict at the same cycle.
-                    let mut last_delivered = 0u64;
-                    let mut stalled = 0u64;
-                    while now < ctx.hard_end {
-                        let parity = (now & 1) as usize;
-                        // 1. Drain events published last cycle.
-                        for inbox in &mailboxes[parity ^ 1][id] {
-                            {
-                                let mut slot = inbox.lock().unwrap();
-                                std::mem::swap(&mut *slot, &mut scratch);
-                            }
-                            for (at, ev) in scratch.drain(..) {
-                                shard.enqueue_local(at, ev);
-                            }
-                        }
-                        // 2. Compute this cycle.
-                        shard.step(ctx, now, sample_every, &mut mon);
-                        // 3. Publish outboxes and progress.
-                        for (dst, row) in mailboxes[parity].iter().enumerate() {
-                            if dst == id {
-                                continue;
-                            }
-                            let out = shard.outbox_mut(dst);
-                            if out.is_empty() {
-                                continue;
-                            }
-                            let mut slot = row[id].lock().unwrap();
-                            debug_assert!(slot.is_empty());
-                            std::mem::swap(&mut *slot, out);
-                        }
-                        let p = &progress[parity * s + id];
-                        p.generated
-                            .store(shard.stats.measured_generated(), Ordering::Relaxed);
-                        p.ejected
-                            .store(shard.stats.measured_ejected(), Ordering::Relaxed);
-                        p.faulted
-                            .store(shard.stats.measured_faulted(), Ordering::Relaxed);
-                        p.delivered
-                            .store(shard.stats.delivered_total(), Ordering::Relaxed);
-                        p.active.store(!shard.active.is_empty(), Ordering::Relaxed);
-                        // 4. Everyone sees everyone's publishes.
-                        barrier.wait();
-                        // Watchdog — network-wide deliveries and
-                        // occupancy from the shared snapshot; identical
-                        // inputs mean every shard fires the same cycle.
-                        if let Some(wd) = ctx.cfg.watchdog_cycles {
-                            let mut delivered = 0u64;
-                            let mut any_active = false;
-                            for sid in 0..s {
-                                let p = &progress[parity * s + sid];
-                                delivered += p.delivered.load(Ordering::Relaxed);
-                                any_active |= p.active.load(Ordering::Relaxed);
-                            }
-                            if delivered == last_delivered && any_active {
-                                stalled += 1;
-                                if stalled >= wd {
-                                    mon.on_watchdog(&shard.watchdog_diag(now + 1, stalled));
-                                    shard.stats.set_watchdog_fired();
-                                    cycles = now + 1;
-                                    break;
-                                }
-                            } else {
-                                stalled = 0;
-                                last_delivered = delivered;
-                            }
-                        }
-                        // Exit check — same snapshot on every shard, so
-                        // every shard breaks at the same cycle.
-                        if now + 1 >= ctx.end_measure {
-                            let mut gen = 0u64;
-                            let mut ej = 0u64;
-                            let mut faulted = 0u64;
-                            let mut any_active = false;
-                            for sid in 0..s {
-                                let p = &progress[parity * s + sid];
-                                gen += p.generated.load(Ordering::Relaxed);
-                                ej += p.ejected.load(Ordering::Relaxed);
-                                faulted += p.faulted.load(Ordering::Relaxed);
-                                any_active |= p.active.load(Ordering::Relaxed);
-                            }
-                            if gen == ej + faulted && !any_active {
-                                cycles = now + 1;
-                                break;
-                            }
-                        }
-                        now += 1;
-                    }
-                    (id, shard.take_stats(), mon, cycles)
+                    let (stats, cycles) = run_shard(ctx, x, id, sample_every, &mut mon);
+                    (stats, cycles, mon)
                 })
             })
             .collect();
-        let mut out: Vec<Option<(ShardStats, M, u64)>> = (0..s).map(|_| None).collect();
-        for h in handles {
-            let (id, stats, mon, cycles) = h.join().expect("shard thread panicked");
-            out[id] = Some((stats, mon, cycles));
-        }
-        out.into_iter().map(|o| o.unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard thread panicked"))
+            .collect()
     });
 
     let mut merged = ShardStats::default();
     let mut cycles = ctx.hard_end;
-    for (stats, mon, c) in results {
+    for (stats, c, mon) in results {
         merged.merge(stats);
         monitor.absorb(mon);
         cycles = c;
     }
     (merged, cycles)
+}
+
+/// The cycle loop of shard `id`: drain, step, publish, barrier, then
+/// the watchdog and drain-exit decision. Returns the shard's statistics
+/// and the cycle count, which every shard computes identically.
+fn run_shard<M: SimMonitor>(
+    ctx: &Ctx,
+    x: &Exchange,
+    id: usize,
+    sample_every: Option<u64>,
+    mon: &mut M,
+) -> (ShardStats, u64) {
+    let mut shard = Shard::new(ctx, id);
+    let mut scratch: Vec<(u64, Ev)> = Vec::new();
+    // Watchdog state: every shard derives it from the same post-barrier
+    // snapshot, so all shards reach the same stall verdict at the same
+    // cycle.
+    let mut last_delivered = 0u64;
+    let mut stalled = 0u64;
+    let mut now = 0u64;
+    let mut cycles = ctx.hard_end;
+    while now < ctx.hard_end {
+        let parity = (now & 1) as usize;
+        // 1. Drain events published last cycle. A shard never mails
+        //    itself, so its own slot is skipped.
+        for (src, inbox) in x.mailboxes[parity ^ 1][id].iter().enumerate() {
+            if src == id {
+                continue;
+            }
+            {
+                let mut slot = inbox.lock().expect("mailbox poisoned by a panicked shard");
+                std::mem::swap(&mut *slot, &mut scratch);
+            }
+            for (at, ev) in scratch.drain(..) {
+                shard.enqueue_local(at, ev);
+            }
+        }
+        // 2. Compute this cycle.
+        shard.step(ctx, now, sample_every, mon);
+        // 3. Publish outboxes and progress.
+        for (dst, row) in x.mailboxes[parity].iter().enumerate() {
+            if dst == id {
+                continue;
+            }
+            let out = shard.outbox_mut(dst);
+            if out.is_empty() {
+                continue;
+            }
+            let mut slot = row[id]
+                .lock()
+                .expect("mailbox poisoned by a panicked shard");
+            debug_assert!(slot.is_empty());
+            std::mem::swap(&mut *slot, out);
+        }
+        let p = &x.progress[parity * x.shards + id];
+        p.generated
+            .store(shard.stats.measured_generated(), Ordering::Relaxed);
+        p.ejected
+            .store(shard.stats.measured_ejected(), Ordering::Relaxed);
+        p.faulted
+            .store(shard.stats.measured_faulted(), Ordering::Relaxed);
+        p.delivered
+            .store(shard.stats.delivered_total(), Ordering::Relaxed);
+        p.active.store(!shard.active.is_empty(), Ordering::Relaxed);
+        // 4. Everyone sees everyone's publishes.
+        x.barrier.wait();
+        let t = x.totals(parity);
+        // Watchdog: `active` empties whenever nothing is buffered, so a
+        // growing stall counter means packets sit while nothing moves.
+        if let Some(wd) = ctx.cfg.watchdog_cycles {
+            if t.delivered == last_delivered && t.any_active {
+                stalled += 1;
+                if stalled >= wd {
+                    mon.on_watchdog(&shard.watchdog_diag(now + 1, stalled));
+                    shard.stats.set_watchdog_fired();
+                    cycles = now + 1;
+                    break;
+                }
+            } else {
+                stalled = 0;
+                last_delivered = t.delivered;
+            }
+        }
+        // Early exit once everything measured has drained (in-flight
+        // fault drops count as resolved).
+        if now + 1 >= ctx.end_measure && t.generated == t.ejected + t.faulted && !t.any_active {
+            cycles = now + 1;
+            break;
+        }
+        now += 1;
+    }
+    (shard.take_stats(), cycles)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Engine determinism across thread counts: the sharded engine must be
-//! bit-identical to the sequential one for any `threads` setting — same
+//! Engine determinism across thread counts: a run must be bit-identical
+//! to the one-shard `threads: None` run for any `threads` setting — same
 //! `SimResult` (exact float equality) and same `MetricsMonitor` report.
 //!
 //! This is the contract that makes `--engine-threads` safe to use in
@@ -10,7 +10,10 @@ use polarstar::design::best_config;
 use polarstar::network::PolarStarNetwork;
 use polarstar_netsim::routing::{RouteTable, RoutingKind};
 use polarstar_netsim::traffic::Pattern;
-use polarstar_netsim::{simulate, simulate_monitored, FaultResponse, MetricsMonitor, SimConfig};
+use polarstar_netsim::{
+    simulate, simulate_overlay_monitored, FaultResponse, MetricsMonitor, NoopMonitor,
+    ShardableMonitor, SimConfig, SimMonitor,
+};
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::network::NetworkSpec;
 use polarstar_topo::{FaultSchedule, FaultSet};
@@ -38,25 +41,45 @@ fn polarstar_spec() -> NetworkSpec {
         .spec
 }
 
+/// Thread settings every run is compared against `threads: None` at.
+/// `Some(0)` clamps to one shard; 64 exceeds ER_5's 31 routers and
+/// clamps to one router per shard there.
+const EDGE_THREADS: [usize; 5] = [0, 1, 2, 4, 64];
+
 fn assert_thread_invariant(spec: &NetworkSpec, kind: RoutingKind, load: f64) {
     let table = RouteTable::for_spec(spec);
-    let baseline = simulate(spec, &table, kind, &Pattern::Uniform, load, &cfg(None));
-    assert!(
-        baseline.measured_ejected > 0,
-        "degenerate baseline on {}: {baseline:?}",
-        spec.name
-    );
-    for threads in [1usize, 2, 4] {
-        let sharded = simulate(
+    let run = |threads: Option<usize>| {
+        let mut mon = MetricsMonitor::new(64);
+        let r = simulate_overlay_monitored(
             spec,
             &table,
             kind,
+            None,
             &Pattern::Uniform,
             load,
-            &cfg(Some(threads)),
+            &cfg(threads),
+            &mut mon,
         );
+        (r, mon.report())
+    };
+    let baseline = run(None);
+    assert!(
+        baseline.0.measured_ejected > 0,
+        "degenerate baseline on {}: {:?}",
+        spec.name,
+        baseline.0
+    );
+    // The monitor observes the run without steering it.
+    let plain = simulate(spec, &table, kind, &Pattern::Uniform, load, &cfg(None));
+    assert_eq!(
+        plain, baseline.0,
+        "{} with {kind:?}: monitored run differs",
+        spec.name
+    );
+    for threads in EDGE_THREADS {
         assert_eq!(
-            baseline, sharded,
+            baseline,
+            run(Some(threads)),
             "{} with {kind:?} diverges at threads={threads}",
             spec.name
         );
@@ -91,9 +114,7 @@ fn polarstar_ugal_identical_across_thread_counts() {
 fn er5_negotiated_identical_across_thread_counts() {
     use polarstar_netsim::flow::{FlowPlan, FlowRouting, TrafficComponent};
     use polarstar_netsim::traffic::engine_resolve_seed;
-    use polarstar_netsim::{
-        simulate_negotiated, simulate_overlay, NegotiateConfig, NegotiatedRoutes,
-    };
+    use polarstar_netsim::{NegotiateConfig, NegotiatedRoutes};
 
     let spec = er5_spec();
     let table = RouteTable::for_spec(&spec);
@@ -112,36 +133,25 @@ fn er5_negotiated_identical_across_thread_counts() {
         NegotiatedRoutes::negotiate(&spec, &table, &plan, &ncfg),
         "negotiation rebuild diverges"
     );
-    let neg_base = simulate_negotiated(&spec, &table, &neg, &Pattern::Permutation, 0.3, &cfg(None));
+    let run = |kind: RoutingKind, threads: Option<usize>| {
+        simulate_overlay_monitored(
+            &spec,
+            &table,
+            kind,
+            Some(&neg),
+            &Pattern::Permutation,
+            0.3,
+            &cfg(threads),
+            &mut NoopMonitor,
+        )
+    };
+    let neg_base = run(RoutingKind::Negotiated, None);
     assert!(neg_base.measured_ejected > 0, "{neg_base:?}");
-    let hist_base = simulate_overlay(
-        &spec,
-        &table,
-        RoutingKind::ugal4(),
-        &neg,
-        &Pattern::Permutation,
-        0.3,
-        &cfg(None),
-    );
+    let hist_base = run(RoutingKind::ugal4(), None);
     for threads in [1usize, 2, 4] {
-        let neg_t = simulate_negotiated(
-            &spec,
-            &table,
-            &neg,
-            &Pattern::Permutation,
-            0.3,
-            &cfg(Some(threads)),
-        );
+        let neg_t = run(RoutingKind::Negotiated, Some(threads));
         assert_eq!(neg_base, neg_t, "NEG diverges at threads={threads}");
-        let hist_t = simulate_overlay(
-            &spec,
-            &table,
-            RoutingKind::ugal4(),
-            &neg,
-            &Pattern::Permutation,
-            0.3,
-            &cfg(Some(threads)),
-        );
+        let hist_t = run(RoutingKind::ugal4(), Some(threads));
         assert_eq!(hist_base, hist_t, "UGAL-H diverges at threads={threads}");
     }
 }
@@ -200,10 +210,11 @@ fn metrics_monitor_totals_identical_across_thread_counts() {
     let table = RouteTable::for_spec(&spec);
     let run = |threads: Option<usize>| {
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
+        let r = simulate_overlay_monitored(
             &spec,
             &table,
             RoutingKind::ugal4(),
+            None,
             &Pattern::Uniform,
             0.3,
             &cfg(threads),
@@ -232,10 +243,11 @@ fn live_fault_schedule_identical_across_thread_counts() {
     let table = RouteTable::for_spec(&spec);
     let run = |threads: Option<usize>| {
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
+        let r = simulate_overlay_monitored(
             &spec,
             &table,
             RoutingKind::ugal4(),
+            None,
             &Pattern::Uniform,
             0.4,
             &SimConfig {
@@ -261,7 +273,7 @@ fn live_fault_schedule_identical_across_thread_counts() {
 /// A watchdog-terminated run is deterministic too: every shard reaches
 /// the stall verdict from the same snapshot, so the firing cycle, the
 /// diagnostic snapshot, and the truncated result all match the
-/// sequential engine exactly.
+/// one-shard run exactly.
 #[test]
 fn watchdog_fire_identical_across_thread_counts() {
     let spec = er5_spec();
@@ -277,10 +289,11 @@ fn watchdog_fire_identical_across_thread_counts() {
     let table = RouteTable::for_spec(&spec);
     let run = |threads: Option<usize>| {
         let mut mon = MetricsMonitor::new(64);
-        let r = simulate_monitored(
+        let r = simulate_overlay_monitored(
             &spec,
             &table,
             RoutingKind::MinSingle,
+            None,
             &Pattern::Uniform,
             0.4,
             &SimConfig {
@@ -296,9 +309,53 @@ fn watchdog_fire_identical_across_thread_counts() {
     let (base_result, base_report) = run(None);
     assert!(base_result.watchdog_fired, "{base_result:?}");
     assert!(base_report.watchdog.is_some());
-    for threads in [1usize, 2, 4] {
+    for threads in EDGE_THREADS {
         let (result, report) = run(Some(threads));
         assert_eq!(base_result, result, "SimResult at threads={threads}");
         assert_eq!(base_report, report, "MetricsReport at threads={threads}");
+    }
+}
+
+/// A one-shard run reports straight into the caller's monitor on the
+/// caller's thread: it neither forks the monitor nor spawns a thread.
+#[test]
+fn one_shard_runs_on_the_callers_thread() {
+    struct CallerOnly {
+        thread: std::thread::ThreadId,
+        delivered: u64,
+    }
+    impl SimMonitor for CallerOnly {
+        fn on_packet_delivered(&mut self, _now: u64, _latency: u64, _hops: u32, _measured: bool) {
+            assert_eq!(std::thread::current().id(), self.thread);
+            self.delivered += 1;
+        }
+    }
+    impl ShardableMonitor for CallerOnly {
+        fn fork(&self) -> Self {
+            panic!("a one-shard run forked its monitor")
+        }
+        fn absorb(&mut self, _shard: Self) {
+            unreachable!("a one-shard run has no fork to absorb")
+        }
+    }
+    let spec = er5_spec();
+    let table = RouteTable::for_spec(&spec);
+    for threads in [None, Some(0), Some(1)] {
+        let mut mon = CallerOnly {
+            thread: std::thread::current().id(),
+            delivered: 0,
+        };
+        let r = simulate_overlay_monitored(
+            &spec,
+            &table,
+            RoutingKind::MinMulti,
+            None,
+            &Pattern::Uniform,
+            0.3,
+            &cfg(threads),
+            &mut mon,
+        );
+        assert!(r.measured_ejected > 0, "threads={threads:?}: {r:?}");
+        assert!(mon.delivered >= r.measured_ejected, "threads={threads:?}");
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests on the topology constructions: star-product
 //! algebra, factor-graph properties and parameterized families.
 
+use polarstar_graph::edst::{greedy_edst, validate_edst};
 use polarstar_graph::{traversal, Graph};
 use polarstar_topo::er::ErGraph;
 use polarstar_topo::fault::{FaultSchedule, FaultSet};
@@ -210,4 +211,17 @@ proptest! {
         let ok = FaultSchedule::new().fail_link_at(cycle, 0, n as u32 - 1);
         prop_assert!(ok.validate(n).is_ok());
     }
+}
+
+/// Star products inherit rich tree packings (Dawkins et al.): greedy
+/// peeling on the degree-9 PolarStar ER_5 ∗ IQ_3 finds at least 3
+/// edge-disjoint spanning trees.
+#[test]
+fn polarstar_packs_many_trees() {
+    let er = ErGraph::new(5).unwrap();
+    let iq = inductive_quad(3).unwrap();
+    let g = star_product(&er.graph, &er.quadric_vertices(), &iq);
+    let trees = greedy_edst(&g);
+    validate_edst(&g, &trees).unwrap();
+    assert!(trees.len() >= 3, "found {}", trees.len());
 }

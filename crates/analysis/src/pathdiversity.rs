@@ -191,7 +191,8 @@ mod tests {
         // RouteTable size (netsim stores exactly the minimal ports).
         let g = polarstar_graph::random::random_regular(30, 4, 8).unwrap();
         let pd = path_diversity(&g);
-        let table = polarstar_netsim::routing::RouteTable::builder(&g).build();
+        let spec = polarstar_topo::NetworkSpec::uniform("rr30", g.clone(), 1);
+        let table = polarstar_netsim::routing::RouteTable::for_spec(&spec);
         assert_eq!(pd.table_entries as usize, table.storage_entries());
     }
 }

@@ -29,15 +29,13 @@ fn bench_table_build(c: &mut Criterion) {
     let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
     let mut g = c.benchmark_group("route_table_build");
     g.sample_size(10);
-    g.bench_function("ps_iq_1064", |b| {
-        b.iter(|| RouteTable::builder(net.graph()).build())
-    });
+    g.bench_function("ps_iq_1064", |b| b.iter(|| RouteTable::for_spec(&net.spec)));
     g.finish();
 }
 
 fn bench_table_lookup(c: &mut Criterion) {
     let net = PolarStarNetwork::build(best_config(15).unwrap(), 1).unwrap();
-    let table = RouteTable::builder(net.graph()).build();
+    let table = RouteTable::for_spec(&net.spec);
     let n = net.spec.routers() as u32;
     let mut g = c.benchmark_group("route_table_lookup");
     g.bench_function("ps_iq_1064", |b| {

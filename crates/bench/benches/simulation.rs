@@ -17,7 +17,7 @@ fn bench_engine(c: &mut Criterion) {
     let net = PolarStarNetwork::build(best_config(9).unwrap(), 2)
         .unwrap()
         .spec;
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let base = SimConfig {
         warmup_cycles: 200,
         measure_cycles: 500,

@@ -406,8 +406,8 @@ pub(crate) struct NegotiatedOverlay {
     hop_router: Vec<u32>,
     /// Output port taken at that router.
     hop_port: Vec<u8>,
-    /// Historic congestion cost per directed output port
-    /// (`deg_off`-indexed), in `port_cost` units (flit-cycles).
+    /// Historic congestion cost per directed output port (indexed by
+    /// the graph's directed edge id), in `port_cost` units (flit-cycles).
     hist_port: Vec<u64>,
 }
 
@@ -478,7 +478,10 @@ impl NegotiatedOverlay {
 
 /// Immutable per-run state shared by every shard: the topology, routing
 /// table, resolved traffic, config, and the precomputed flat index maps
-/// (degree/endpoint prefix sums, reverse-port CSR, shard boundaries).
+/// (endpoint prefix sums, reverse-port CSR, shard boundaries).
+///
+/// Port-indexed arrays are indexed by the graph's directed edge id:
+/// port `p` of router `r` is slot [`Ctx::port_base`]`(r) + p`.
 pub(crate) struct Ctx<'a> {
     table: &'a RouteTable,
     kind: RoutingKind,
@@ -494,10 +497,8 @@ pub(crate) struct Ctx<'a> {
     /// Per-endpoint per-cycle generation probability.
     p_gen: f64,
     pub(crate) cfg: SimConfig,
-    /// Prefix sums of router degrees (len n + 1): port-indexed arrays.
-    deg_off: Vec<u32>,
-    /// Reverse port map CSR (deg_off offsets): port p of router r leads
-    /// to u; back_port[deg_off[r] + p] = the port of u back to r.
+    /// Reverse port map: port p of router r leads to u;
+    /// back_port[port_base(r) + p] = the port of u back to r.
     back_port: Vec<u8>,
     /// Global endpoint prefix sums per router (len n + 1).
     ep_off: Vec<u32>,
@@ -518,7 +519,7 @@ pub(crate) struct Ctx<'a> {
     /// network). Packets touching a failed router at either end are
     /// dropped — as unroutable at injection, as faulted in flight.
     epoch_failed_router: Vec<Vec<bool>>,
-    /// Per-epoch dead flag per directed output port (`deg_off`-indexed):
+    /// Per-epoch dead flag per directed output port (edge-id-indexed):
     /// true when the link under that port is failed in the epoch. Dead
     /// ports carry no traffic in either response mode.
     epoch_dead_port: Vec<Vec<bool>>,
@@ -563,12 +564,8 @@ impl<'a> Ctx<'a> {
              (pass one to simulate_overlay_monitored)"
         );
         let negotiated = neg.map(|nr| NegotiatedOverlay::build(spec, nr, &cfg));
-        let mut deg_off = Vec::with_capacity(n + 1);
-        deg_off.push(0u32);
-        for r in 0..n as u32 {
-            deg_off.push(deg_off[r as usize] + spec.graph.degree(r) as u32);
-        }
-        let mut back_port = Vec::with_capacity(deg_off[n] as usize);
+        let links = spec.graph.directed_edge_count();
+        let mut back_port = Vec::with_capacity(links);
         for r in 0..n as u32 {
             for &u in spec.graph.neighbors(r) {
                 let bp = spec
@@ -613,9 +610,8 @@ impl<'a> Ctx<'a> {
         let epoch_dead_port: Vec<Vec<bool>> = epochs
             .iter()
             .map(|(_, f)| {
-                // deg_off slots are the graph's directed edge ids.
                 let mask = f.edge_mask(&spec.graph);
-                (0..deg_off[n]).map(|e| mask.failed(e)).collect()
+                (0..links as u32).map(|e| mask.failed(e)).collect()
             })
             .collect();
         let epoch_tables: Vec<RouteTable> = if cfg.fault_response == FaultResponse::Reroute {
@@ -632,8 +628,7 @@ impl<'a> Ctx<'a> {
         // (ports + endpoints + fixed overhead).
         let weights: Vec<u64> = (0..n)
             .map(|r| {
-                deg_off[r + 1] as u64 - deg_off[r] as u64 + ep_off[r + 1] as u64 - ep_off[r] as u64
-                    + 1
+                spec.graph.degree(r as u32) as u64 + ep_off[r + 1] as u64 - ep_off[r] as u64 + 1
             })
             .collect();
         let shard_starts = partition_starts(&weights, threads);
@@ -650,7 +645,6 @@ impl<'a> Ctx<'a> {
             active_eps,
             load,
             p_gen: load / cfg.packet_flits as f64,
-            deg_off,
             back_port,
             ep_off,
             ep_router,
@@ -673,7 +667,14 @@ impl<'a> Ctx<'a> {
 
     #[inline]
     fn degree(&self, r: u32) -> usize {
-        (self.deg_off[r as usize + 1] - self.deg_off[r as usize]) as usize
+        self.table.degree(r)
+    }
+
+    /// Slot of router `r`'s port 0 in port-indexed arrays: the graph's
+    /// directed edge id of that port.
+    #[inline]
+    fn port_base(&self, r: u32) -> usize {
+        self.table.graph().edge_range(r).start as usize
     }
 
     #[inline]
@@ -715,7 +716,7 @@ impl<'a> Ctx<'a> {
 
     #[inline]
     fn port_dead(&self, e: usize, r: u32, port: usize) -> bool {
-        self.epoch_dead_port[e][self.deg_off[r as usize] as usize + port]
+        self.epoch_dead_port[e][self.port_base(r) + port]
     }
 
     /// Fold merged shard statistics into the run result.
@@ -1380,7 +1381,7 @@ impl Shard {
         // candidate scoring then avoids links the negotiation kept
         // finding overused.
         let hist = match &ctx.negotiated {
-            Some(ov) => ov.hist_port[ctx.deg_off[r as usize] as usize + port],
+            Some(ov) => ov.hist_port[ctx.port_base(r) + port],
             None => 0,
         };
         consumed * ctx.cfg.packet_flits as u64 + busy + hist
@@ -1674,7 +1675,7 @@ impl Shard {
         mon.on_link_flit(r, out, ctx.cfg.packet_flits);
 
         let next_router = ctx.table.neighbor(r, out as u8);
-        let next_inport = ctx.back_port[ctx.deg_off[r as usize] as usize + out] as u16;
+        let next_inport = ctx.back_port[ctx.port_base(r) + out] as u16;
         let arrive_at = now + serialize + ctx.cfg.link_latency as u64;
         self.emit(
             ctx,
@@ -1697,7 +1698,7 @@ impl Shard {
 
     fn credit_upstream(&mut self, ctx: &Ctx, r: u32, inport: u16, vc: u8, at: u64) {
         let upstream = ctx.table.neighbor(r, inport as u8);
-        let up_out = ctx.back_port[ctx.deg_off[r as usize] as usize + inport as usize];
+        let up_out = ctx.back_port[ctx.port_base(r) + inport as usize];
         self.emit(
             ctx,
             at,
@@ -1988,7 +1989,7 @@ impl Shard {
                     if v < self.r0 || v >= self.r1 {
                         continue;
                     }
-                    let back = ctx.back_port[ctx.deg_off[r as usize] as usize + port] as usize;
+                    let back = ctx.back_port[ctx.port_base(r) + port] as usize;
                     let qv = self.q_index(self.lr(v), back, vc);
                     let total = self.credits[ci] as u32
                         + cred_inflight[ci]
@@ -2073,7 +2074,7 @@ mod tests {
     #[should_panic(expected = "exceeds the u16 arena limit")]
     fn engine_rejects_overflowing_queue_capacity() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let cfg = SimConfig {
             packet_flits: 1,
             vcs: 1,
@@ -2096,7 +2097,7 @@ mod tests {
         use crate::negotiate::{NegotiateConfig, NegotiatedRoutes};
 
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let cfg = small_cfg(3);
         let comps = [TrafficComponent::new(
             Pattern::Permutation,
@@ -2133,7 +2134,7 @@ mod tests {
     #[test]
     fn low_load_latency_near_zero_load_baseline() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         // A longer window than small_cfg: at 5% load only ~2.5 packets
         // arrive per endpoint per 1000 cycles, so short windows make the
         // accepted-throughput criterion a coin flip.
@@ -2163,7 +2164,7 @@ mod tests {
     #[test]
     fn complete_graph_sustains_high_uniform_load() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let r = simulate(
             &spec,
             &table,
@@ -2184,7 +2185,7 @@ mod tests {
         // An 8-cycle with 2 endpoints per router has tiny bisection; high
         // uniform load must saturate (latency runaway / undelivered).
         let spec = NetworkSpec::uniform("c8", Graph::cycle(8), 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let hi = simulate(
             &spec,
             &table,
@@ -2212,7 +2213,7 @@ mod tests {
     #[test]
     fn latency_monotone_in_load() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let mut last = 0.0;
         for load in [0.1, 0.4, 0.7] {
             let r = simulate(
@@ -2234,7 +2235,7 @@ mod tests {
     #[test]
     fn deterministic_for_seed() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let a = simulate(
             &spec,
             &table,
@@ -2257,7 +2258,7 @@ mod tests {
     #[test]
     fn sharded_matches_sequential_on_k8() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let seq = simulate(
             &spec,
             &table,
@@ -2286,7 +2287,7 @@ mod tests {
     #[test]
     fn permutation_traffic_runs() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let r = simulate(
             &spec,
             &table,
@@ -2310,7 +2311,10 @@ mod tests {
                 h: 2,
                 p: 2,
             });
-        let table = RouteTable::builder(&spec.graph).build();
+        let flat = spec
+            .clone()
+            .with_policy(polarstar_topo::RoutingPolicy::FlatMinimal);
+        let table = RouteTable::for_spec(&flat);
         // Each group funnels 8 endpoints over a single global link under
         // MIN (throughput cap ≈ 1/8); UGAL spreads over all groups.
         let load = 0.3;
@@ -2342,7 +2346,7 @@ mod tests {
     #[test]
     fn zero_load_produces_no_packets() {
         let spec = k8_spec();
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let r = simulate(
             &spec,
             &table,
@@ -2394,7 +2398,7 @@ mod fault_injection_tests {
         let faulty = full.without_edges(&removed);
         assert!(polarstar_graph::traversal::is_connected(&faulty));
         let spec = NetworkSpec::uniform("faulty", faulty, 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let cfg = SimConfig {
             warmup_cycles: 300,
             measure_cycles: 800,
@@ -2419,7 +2423,7 @@ mod fault_injection_tests {
     fn hop_counts_bounded_by_diameter() {
         let g = Graph::cycle(10);
         let spec = NetworkSpec::uniform("c10", g, 1);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let cfg = SimConfig {
             warmup_cycles: 200,
             measure_cycles: 600,
@@ -2446,7 +2450,7 @@ mod fault_injection_tests {
     #[test]
     fn valiant_hops_exceed_minimal() {
         let spec = NetworkSpec::uniform("k8", Graph::complete(8), 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let cfg = SimConfig {
             warmup_cycles: 300,
             measure_cycles: 800,

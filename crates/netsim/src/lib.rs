@@ -69,6 +69,6 @@ pub use monitor::{
     StallCause, TransientMonitor, WatchdogDiag,
 };
 pub use negotiate::{NegotiateConfig, NegotiatedRoutes};
-pub use routing::{RouteTable, RouteTableBuilder, RoutingKind};
+pub use routing::{RouteTable, RoutingKind};
 pub use stats::{fluid_onset, highest_stable_offered};
 pub use traffic::Pattern;

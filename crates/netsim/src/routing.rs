@@ -61,36 +61,26 @@ impl RoutingKind {
 
 /// Per-destination distance and minimal-port table.
 ///
-/// All state lives in flat arenas — `dist`, the (port_offsets, ports)
-/// CSR pair, and the (nbr_offsets, nbrs) neighbor CSR pair — so lookups
-/// on the simulator hot path are offset arithmetic into contiguous
-/// memory with no pointer chasing.
+/// Built only from a [`NetworkSpec`]: [`RouteTable::for_spec`] for the
+/// spec's own fault mask, [`RouteTable::remask`] for a fault epoch. The
+/// spec's [`RoutingPolicy`] picks the discipline — all minimal paths for
+/// flat topologies, ≤1-global minimal paths over the spec's groups for
+/// Dragonfly and Megafly — and both run through one assembly loop.
+///
+/// The table keeps the spec's pristine [`Graph`], so port `p` of router
+/// `r` is the graph's CSR edge id `edge_range(r).start + p` by
+/// construction, in every fault epoch. Distances and port sets live in
+/// flat arenas, so lookups on the simulator hot path are offset
+/// arithmetic into contiguous memory with no pointer chasing.
 pub struct RouteTable {
-    n: usize,
+    /// The pristine router graph; its CSR order is the port order.
+    graph: Graph,
     /// dist[dst * n + r] = hop distance from router r to dst.
     dist: Vec<u16>,
     /// Flattened minimal-port lists: for (r, dst), ports[..] are indices
     /// into r's neighbor list that decrease the distance to dst.
     port_offsets: Vec<u32>,
     ports: Vec<u8>,
-    /// Neighbor CSR: router r's neighbors are
-    /// nbrs[nbr_offsets[r]..nbr_offsets[r + 1]], in port order.
-    nbr_offsets: Vec<u32>,
-    nbrs: Vec<u32>,
-}
-
-/// Copy a graph's adjacency into one CSR pair (offsets are `n + 1`).
-fn neighbor_csr(g: &Graph) -> (Vec<u32>, Vec<u32>) {
-    let n = g.n();
-    let total: usize = (0..n as u32).map(|r| g.degree(r)).sum();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut nbrs = Vec::with_capacity(total);
-    offsets.push(0u32);
-    for r in 0..n as u32 {
-        nbrs.extend_from_slice(g.neighbors(r));
-        offsets.push(nbrs.len() as u32);
-    }
-    (offsets, nbrs)
 }
 
 impl RouteTable {
@@ -99,126 +89,87 @@ impl RouteTable {
     /// happens for genuinely unreachable pairs on these topologies).
     pub const UNREACHABLE: u16 = u16::MAX;
 
-    /// The single construction entry point: a [`RouteTableBuilder`] over
-    /// a router graph. Policy, group structure, and fault mask are
-    /// optional refinements:
-    ///
-    /// ```ignore
-    /// let flat = RouteTable::builder(&g).build();
-    /// let masked = RouteTable::builder(&g).faults(&faults).build();
-    /// let df = RouteTable::builder(&df.graph).group(&df.group).build();
-    /// ```
-    ///
-    /// [`RouteTable::for_spec`] is a thin wrapper over this builder for
-    /// the spec-carrying hot call sites.
-    pub fn builder(graph: &Graph) -> RouteTableBuilder<'_> {
-        RouteTableBuilder {
-            graph,
-            policy: RoutingPolicy::FlatMinimal,
-            group: None,
-            faults: None,
-        }
-    }
-
-    /// Build the table a spec asks for: its [`RoutingPolicy`] hint picks
+    /// Build the table a spec asks for: its [`RoutingPolicy`] picks
     /// between flat and hierarchical minimal tables, and its
     /// [`FaultSet`] masks failed links/routers out of both distances and
-    /// minimal-port sets — so callers no longer match on display names or
-    /// special-case degraded networks. Distances come from the degraded
-    /// graph and minimal ports skip failed links, but the neighbor CSR
-    /// keeps the *pristine* port numbering so engine-side port indices
-    /// stay aligned with the physical topology.
+    /// minimal-port sets. Distances skip dead links and minimal ports
+    /// skip failed directed links, but port numbering stays the pristine
+    /// graph's, so engine-side port indices match the physical topology.
+    ///
+    /// A caller holding only a graph wraps it in
+    /// [`NetworkSpec::uniform`], adding [`NetworkSpec::with_faults`] or
+    /// [`NetworkSpec::with_policy`] where needed.
+    ///
+    /// # Panics
+    /// If the graph is empty, a router has 256 or more ports, or a
+    /// hierarchical spec's group array does not match the graph.
     pub fn for_spec(spec: &NetworkSpec) -> Self {
-        Self::builder(&spec.graph)
-            .group(&spec.group)
-            .policy(spec.routing_policy())
-            .faults(spec.faults())
-            .build()
+        Self::build(spec, spec.faults())
     }
 
-    /// Rebuild the distance and minimal-port layers for a new cumulative
-    /// fault set, reusing this table's pristine neighbor CSR — and with
-    /// it the port numbering the engine's flattened state is indexed by.
-    ///
-    /// This is the route-table *epoch* path of live fault schedules: per
-    /// epoch only the BFS layers are recomputed, over one [`EdgeMask`]
-    /// compiled from `faults`; the CSR is cloned, never re-derived from
-    /// the graph, so port indices stay valid across the switch. The
-    /// policy and group structure come from `spec` (which must be the
-    /// spec this table was built for).
+    /// The table for `spec` under a new cumulative fault set in place of
+    /// the spec's own — the route-table *epoch* path of live fault
+    /// schedules. `spec` must be the spec this table was built for; the
+    /// pristine graph, and with it the port numbering the engine's
+    /// flattened state is indexed by, is the same in every epoch.
     pub fn remask(&self, spec: &NetworkSpec, faults: &FaultSet) -> RouteTable {
-        assert_eq!(spec.graph.n(), self.n, "spec does not match this table");
-        let csr = (self.nbr_offsets.clone(), self.nbrs.clone());
-        let mask = faults.edge_mask(&spec.graph);
+        assert_eq!(spec.graph.n(), self.n(), "spec does not match this table");
+        Self::build(spec, faults)
+    }
+
+    /// Pick the spec's global-edge rule: none for a flat table, the
+    /// inter-group edges for a hierarchical one.
+    fn build(spec: &NetworkSpec, faults: &FaultSet) -> Self {
+        let g = &spec.graph;
+        assert!(g.n() > 0, "route table over an empty graph");
+        assert!(g.max_degree() < 256, "ports are stored as u8");
+        let mask = faults.edge_mask(g);
         match spec.routing_policy() {
-            // A negotiated spec's base table is the flat minimal one —
-            // the negotiated overlay rides on top of it.
-            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => {
-                Self::flat(csr, &spec.graph, &mask)
-            }
+            RoutingPolicy::FlatMinimal => Self::minimal(g, &mask, |_, _| false),
             RoutingPolicy::HierarchicalMinimal => {
-                Self::hierarchical(csr, &spec.graph, &spec.group, &mask)
+                let group = &spec.group;
+                assert_eq!(group.len(), g.n(), "group length does not match the graph");
+                Self::minimal(g, &mask, |u, v| group[u as usize] != group[v as usize])
             }
         }
     }
 
-    /// Flat minimal table: one masked BFS per destination
-    /// (rayon-parallel) skipping [`EdgeMask::dead`] edges, minimal ports
-    /// excluding [`EdgeMask::failed`] directed links, neighbor CSR (and
-    /// therefore port numbering) from the pristine graph. Pairs the mask
-    /// disconnects keep [`RouteTable::UNREACHABLE`] distance and an
-    /// empty port set; an all-clear mask builds the pristine table.
+    /// The one construction path: minimal paths that cross at most one
+    /// edge `global` marks. One masked BFS per destination
+    /// (rayon-parallel) skips [`EdgeMask::dead`] edges; minimal ports
+    /// exclude [`EdgeMask::failed`] directed links. Pairs the mask
+    /// disconnects keep [`RouteTable::UNREACHABLE`] distance and an empty
+    /// port set; an empty fault set builds the pristine table.
     ///
-    /// `csr` is `g`'s [`neighbor_csr`]; the route-table-epoch path passes
-    /// a clone of an existing table's.
-    fn flat(csr: (Vec<u32>, Vec<u32>), g: &Graph, mask: &EdgeMask) -> Self {
-        let dists: Vec<Vec<u32>> = (0..g.n() as u32)
-            .into_par_iter()
-            .map(|dst| {
-                let mut dist = Vec::new();
-                bfs_distances_masked(g, dst, |e, _, _| !mask.dead(e), &mut dist, &mut Vec::new());
-                dist
-            })
-            .collect();
-        Self::assemble(csr, &dists, |e| !mask.failed(e))
-    }
-
-    /// Hierarchical routing for group topologies (Dragonfly, Megafly):
-    /// minimal paths restricted to at most one inter-group ("global")
-    /// link — BookSim's built-in Dragonfly/Megafly MIN discipline. UGAL
-    /// over this table composes two such segments, matching the standard
-    /// Dragonfly Valiant scheme. The ≤1-global search skips dead edges,
-    /// the port rule skips failed directed links, and the neighbor CSR
-    /// keeps pristine port numbering.
-    ///
-    /// Port rule: a local port is minimal if it reduces the ≤1-global
-    /// distance d1; a global port is minimal only if the remainder from
-    /// its far end is purely local (so no path ever takes two globals).
-    ///
-    /// `csr` is `g`'s [`neighbor_csr`], as for [`RouteTable::flat`].
-    fn hierarchical(
-        (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
-        g: &Graph,
-        group: &[u32],
-        mask: &EdgeMask,
-    ) -> Self {
-        let n = nbr_offsets.len() - 1;
-        assert_eq!(group.len(), n);
-        assert_eq!(g.n(), n);
-        let per_dst: Vec<(Vec<u32>, Vec<u32>)> = (0..n as u32)
+    /// With inter-group edges as globals this is hierarchical routing
+    /// (Dragonfly, Megafly): BookSim's built-in ≤1-global MIN
+    /// discipline; UGAL over it composes two such segments, matching the
+    /// standard Dragonfly Valiant scheme. Per destination it keeps two
+    /// columns: `d0`, the purely local distance, and `d1`, the ≤1-global
+    /// distance the table stores. A local port is minimal if it shortens
+    /// `d1`; a global port only if the remainder from its far end is
+    /// purely local (`d0`), so no path ever takes two globals. The flat
+    /// rule is the same rule with every edge local: then `d0 = d1`, and
+    /// only that one column is kept.
+    fn minimal<F: Fn(u32, u32) -> bool + Sync>(g: &Graph, mask: &EdgeMask, global: F) -> Self {
+        let n = g.n();
+        let any_global = (0..n as u32).any(|u| g.neighbors(u).iter().any(|&v| global(u, v)));
+        // (d1, d0) per destination; d0 is empty when no edge is global.
+        let cols: Vec<(Vec<u32>, Vec<u32>)> = (0..n as u32)
             .into_par_iter()
             .map(|dst| {
                 let mut d0 = Vec::new();
-                let local = |e: u32, u: u32, v: u32| {
-                    !mask.dead(e) && group[u as usize] == group[v as usize]
-                };
+                let local = |e: u32, u: u32, v: u32| !mask.dead(e) && !global(u, v);
                 bfs_distances_masked(g, dst, local, &mut d0, &mut Vec::new());
-                let d1 = one_global_bfs(g, group, mask, &d0);
-                (d0, d1)
+                if any_global {
+                    (one_global_bfs(g, &global, mask, &d0), d0)
+                } else {
+                    (d0, Vec::new())
+                }
             })
             .collect();
         let mut dist = vec![0u16; n * n];
-        for (dst, (_, d1)) in per_dst.iter().enumerate() {
+        for (dst, (d1, _)) in cols.iter().enumerate() {
             for (r, &x) in d1.iter().enumerate() {
                 dist[dst * n + r] = x.min(u16::MAX as u32) as u16;
             }
@@ -228,23 +179,14 @@ impl RouteTable {
         // port, so n·(n−1) is a lower bound on the arena size.
         let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
         port_offsets.push(0u32);
-        for r in 0..n {
-            let (lo, hi) = (nbr_offsets[r], nbr_offsets[r + 1]);
-            let row = &nbrs[lo as usize..hi as usize];
-            for (dst, (d0, d1)) in per_dst.iter().enumerate() {
-                if r != dst && d1[r] != u32::MAX {
-                    let dr = d1[r];
-                    for (p, (e, &nb)) in (lo..hi).zip(row).enumerate() {
-                        if mask.failed(e) {
-                            continue;
-                        }
-                        let local = group[r] == group[nb as usize];
-                        let ok = if local {
-                            d1[nb as usize].saturating_add(1) == dr
-                        } else {
-                            d0[nb as usize].saturating_add(1) == dr
-                        };
-                        if ok {
+        for r in 0..n as u32 {
+            let (edges, row) = (g.edge_range(r), g.neighbors(r));
+            for (dst, (d1, d0)) in cols.iter().enumerate() {
+                let dr = d1[r as usize];
+                if r as usize != dst && dr != u32::MAX {
+                    for (p, (e, &nb)) in edges.clone().zip(row).enumerate() {
+                        let via = if global(r, nb) { d0 } else { d1 };
+                        if via[nb as usize].saturating_add(1) == dr && !mask.failed(e) {
                             ports.push(p as u8);
                         }
                     }
@@ -253,71 +195,29 @@ impl RouteTable {
             }
         }
         RouteTable {
-            n,
+            graph: g.clone(),
             dist,
             port_offsets,
             ports,
-            nbr_offsets,
-            nbrs,
-        }
-    }
-
-    /// Flat assembly over a pre-built (pristine) neighbor CSR from
-    /// per-destination u32 BFS distances; `alive` (keyed by the CSR slot,
-    /// which is the graph's directed edge id) masks failed directed links
-    /// out of the minimal-port sets.
-    fn assemble<F: Fn(u32) -> bool>(
-        (nbr_offsets, nbrs): (Vec<u32>, Vec<u32>),
-        dists: &[Vec<u32>],
-        alive: F,
-    ) -> Self {
-        let n = nbr_offsets.len() - 1;
-        let mut dist = vec![0u16; n * n];
-        for (dst, d) in dists.iter().enumerate() {
-            for (r, &x) in d.iter().enumerate() {
-                dist[dst * n + r] = x.min(u16::MAX as u32) as u16;
-            }
-        }
-        // Minimal ports per (r, dst).
-        let mut port_offsets = Vec::with_capacity(n * n + 1);
-        // Every reachable ordered pair contributes at least one minimal
-        // port, so n·(n−1) is a lower bound on the arena size.
-        let mut ports = Vec::with_capacity(n * n.saturating_sub(1));
-        port_offsets.push(0u32);
-        for r in 0..n {
-            let (lo, hi) = (nbr_offsets[r], nbr_offsets[r + 1]);
-            let row = &nbrs[lo as usize..hi as usize];
-            for (dst, d) in dists.iter().enumerate() {
-                if r != dst && d[r] != u32::MAX {
-                    let dr = d[r];
-                    for (p, (e, &nb)) in (lo..hi).zip(row).enumerate() {
-                        if d[nb as usize] != u32::MAX && d[nb as usize] + 1 == dr && alive(e) {
-                            ports.push(p as u8);
-                        }
-                    }
-                }
-                port_offsets.push(ports.len() as u32);
-            }
-        }
-        RouteTable {
-            n,
-            dist,
-            port_offsets,
-            ports,
-            nbr_offsets,
-            nbrs,
         }
     }
 
     /// Number of routers.
     pub fn n(&self) -> usize {
-        self.n
+        self.graph.n()
+    }
+
+    /// The pristine router graph whose CSR order is this table's port
+    /// order: port `p` of router `r` is directed edge
+    /// `graph().edge_range(r).start + p`.
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
     }
 
     /// Hop distance from `r` to `dst`.
     #[inline]
     pub fn distance(&self, r: u32, dst: u32) -> u16 {
-        self.dist[dst as usize * self.n + r as usize]
+        self.dist[dst as usize * self.n() + r as usize]
     }
 
     /// Whether any surviving path connects `r` to `dst` (true for
@@ -331,7 +231,7 @@ impl RouteTable {
     /// or dst unreachable).
     #[inline]
     pub fn min_ports(&self, r: u32, dst: u32) -> &[u8] {
-        let idx = r as usize * self.n + dst as usize;
+        let idx = r as usize * self.n() + dst as usize;
         let (s, e) = (
             self.port_offsets[idx] as usize,
             self.port_offsets[idx + 1] as usize,
@@ -342,20 +242,19 @@ impl RouteTable {
     /// The neighbor reached through `port` of router `r`.
     #[inline]
     pub fn neighbor(&self, r: u32, port: u8) -> u32 {
-        self.nbrs[self.nbr_offsets[r as usize] as usize + port as usize]
+        self.graph.neighbors(r)[port as usize]
     }
 
     /// All neighbors of router `r`, in port order.
     #[inline]
     pub fn neighbors(&self, r: u32) -> &[u32] {
-        let r = r as usize;
-        &self.nbrs[self.nbr_offsets[r] as usize..self.nbr_offsets[r + 1] as usize]
+        self.graph.neighbors(r)
     }
 
     /// Degree of router `r`.
     #[inline]
     pub fn degree(&self, r: u32) -> usize {
-        (self.nbr_offsets[r as usize + 1] - self.nbr_offsets[r as usize]) as usize
+        self.graph.degree(r)
     }
 
     /// Total table entries (for the paper's storage comparison).
@@ -363,97 +262,28 @@ impl RouteTable {
         self.ports.len()
     }
 
-    /// Bytes held by the table's flat arenas (capacity overshoot and the
-    /// struct header excluded). Lets sweeps budget per-config routing
-    /// state up front.
+    /// Bytes held by the table's flat arenas and its graph's CSR
+    /// (capacity overshoot and the struct headers excluded). Lets sweeps
+    /// budget per-config routing state up front.
     pub fn memory_bytes(&self) -> usize {
         self.dist.len() * std::mem::size_of::<u16>()
             + self.port_offsets.len() * std::mem::size_of::<u32>()
             + self.ports.len() * std::mem::size_of::<u8>()
-            + self.nbr_offsets.len() * std::mem::size_of::<u32>()
-            + self.nbrs.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Staged construction of a [`RouteTable`] — the one entry point that
-/// replaced the former `new` / `new_masked` / `hierarchical` /
-/// `hierarchical_masked` constructor family.
-///
-/// Defaults: [`RoutingPolicy::FlatMinimal`], no group structure, no
-/// faults. Setting a group via [`RouteTableBuilder::group`] switches the
-/// policy to [`RoutingPolicy::HierarchicalMinimal`] (a group structure
-/// exists only to constrain routing); call
-/// [`RouteTableBuilder::policy`] *afterwards* to override — e.g. to
-/// build a flat table for a grouped topology.
-#[must_use = "call .build() to construct the table"]
-pub struct RouteTableBuilder<'a> {
-    graph: &'a Graph,
-    policy: RoutingPolicy,
-    group: Option<&'a [u32]>,
-    faults: Option<&'a FaultSet>,
-}
-
-impl<'a> RouteTableBuilder<'a> {
-    /// Select the table discipline explicitly (overrides the implicit
-    /// switch performed by [`RouteTableBuilder::group`]).
-    pub fn policy(mut self, policy: RoutingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attach the group (supernode) structure and switch to
-    /// [`RoutingPolicy::HierarchicalMinimal`]. Required before building
-    /// a hierarchical table; ignored by flat builds.
-    pub fn group(mut self, group: &'a [u32]) -> Self {
-        self.group = Some(group);
-        self.policy = RoutingPolicy::HierarchicalMinimal;
-        self
-    }
-
-    /// Mask a fault set: distances run over the degraded graph, minimal
-    /// ports skip failed links, the neighbor CSR (and so port numbering)
-    /// stays pristine. An empty set builds the pristine table.
-    pub fn faults(mut self, faults: &'a FaultSet) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Construct the table.
-    ///
-    /// # Panics
-    /// If the policy is hierarchical and no group was attached, or the
-    /// group length does not match the graph.
-    pub fn build(self) -> RouteTable {
-        let g = self.graph;
-        assert!(g.max_degree() < 256, "ports are stored as u8");
-        let mask = self.faults.unwrap_or(&FaultSet::empty()).edge_mask(g);
-        match self.policy {
-            // The negotiated overlay consults a flat minimal base table
-            // (for fallback ports and reachability); build that.
-            RoutingPolicy::FlatMinimal | RoutingPolicy::Negotiated => {
-                assert!(g.n() > 0);
-                RouteTable::flat(neighbor_csr(g), g, &mask)
-            }
-            RoutingPolicy::HierarchicalMinimal => {
-                let group = self
-                    .group
-                    .expect("hierarchical routing requires .group(..) on the builder");
-                RouteTable::hierarchical(neighbor_csr(g), g, group, &mask)
-            }
-        }
+            + (self.graph.n() + 1) * std::mem::size_of::<usize>()
+            + self.graph.directed_edge_count() * std::mem::size_of::<u32>()
     }
 }
 
 impl PathOracle for RouteTable {
     fn num_routers(&self) -> usize {
-        self.n
+        self.n()
     }
 
     /// Typed-error variant of the inherent [`RouteTable::distance`]: the
     /// [`RouteTable::UNREACHABLE`] sentinel surfaces as
     /// [`RouteError::Unreachable`] instead of an in-band `u16::MAX`.
     fn distance(&self, src: u32, dst: u32) -> Result<u32, RouteError> {
-        let n = self.n as u32;
+        let n = self.n() as u32;
         for id in [src, dst] {
             if id >= n {
                 return Err(RouteError::OutOfRange { id, routers: n });
@@ -474,15 +304,20 @@ impl PathOracle for RouteTable {
     }
 }
 
-/// Shortest distance to `dst` over paths with at most one inter-group
-/// edge, given the pure-local distances `d0` toward `dst`.
+/// Shortest distance to `dst` over paths with at most one edge `global`
+/// marks, given the pure-local distances `d0` toward `dst`.
 ///
 /// A ≤1-global path from `v` is a local prefix to some router `w`, an
 /// optional global hop `w → s`, then a pure-local suffix `s → dst`. So
 /// `d1 = min(d0, local-Dijkstra from seeds seed[w] = min over global
 /// edges (w, s) of d0[s] + 1)` — a bucketed multi-source Dijkstra over
 /// local edges only. Edges the mask marks dead are skipped throughout.
-fn one_global_bfs(g: &Graph, group: &[u32], mask: &EdgeMask, d0: &[u32]) -> Vec<u32> {
+fn one_global_bfs(
+    g: &Graph,
+    global: impl Fn(u32, u32) -> bool,
+    mask: &EdgeMask,
+    d0: &[u32],
+) -> Vec<u32> {
     let n = g.n();
     let mut dist1 = d0.to_vec();
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); 8];
@@ -497,8 +332,7 @@ fn one_global_bfs(g: &Graph, group: &[u32], mask: &EdgeMask, d0: &[u32]) -> Vec<
     // the pure-local distances themselves.
     for w in 0..n as u32 {
         for (e, &s) in g.edge_range(w).zip(g.neighbors(w)) {
-            if !mask.dead(e) && group[s as usize] != group[w as usize] && d0[s as usize] != u32::MAX
-            {
+            if !mask.dead(e) && global(w, s) && d0[s as usize] != u32::MAX {
                 let cand = d0[s as usize] + 1;
                 if cand < dist1[w as usize] {
                     dist1[w as usize] = cand;
@@ -521,7 +355,7 @@ fn one_global_bfs(g: &Graph, group: &[u32], mask: &EdgeMask, d0: &[u32]) -> Vec<
                 continue; // stale entry
             }
             for (e, &v) in g.edge_range(u).zip(g.neighbors(u)) {
-                if group[v as usize] != group[u as usize] || mask.dead(e) {
+                if global(u, v) || mask.dead(e) {
                     continue; // only live local propagation
                 }
                 let nd = d as u32 + 1;
@@ -541,10 +375,15 @@ mod tests {
     use super::*;
     use polarstar_graph::Graph;
 
+    /// The flat table of a bare graph under `faults`.
+    fn flat_table(g: &Graph, faults: &FaultSet) -> RouteTable {
+        RouteTable::for_spec(&NetworkSpec::uniform("g", g.clone(), 1).with_faults(faults.clone()))
+    }
+
     #[test]
     fn table_on_cycle() {
         let g = Graph::cycle(6);
-        let t = RouteTable::builder(&g).build();
+        let t = flat_table(&g, &FaultSet::empty());
         assert_eq!(t.distance(0, 3), 3);
         assert_eq!(t.distance(0, 1), 1);
         // Opposite vertex: both directions are minimal.
@@ -559,7 +398,7 @@ mod tests {
     #[test]
     fn minimal_ports_reduce_distance() {
         let g = polarstar_graph::random::random_regular(40, 4, 3).unwrap();
-        let t = RouteTable::builder(&g).build();
+        let t = flat_table(&g, &FaultSet::empty());
         for r in 0..40u32 {
             for dst in 0..40u32 {
                 if r == dst {
@@ -578,7 +417,7 @@ mod tests {
     #[test]
     fn complete_graph_all_single_hop() {
         let g = Graph::complete(5);
-        let t = RouteTable::builder(&g).build();
+        let t = flat_table(&g, &FaultSet::empty());
         for r in 0..5u32 {
             for dst in 0..5u32 {
                 if r != dst {
@@ -596,8 +435,8 @@ mod tests {
             h: 2,
             p: 1,
         });
-        let t = RouteTable::builder(&df.graph).group(&df.group).build();
-        let free = RouteTable::builder(&df.graph).build();
+        let t = RouteTable::for_spec(&df);
+        let free = flat_table(&df.graph, &FaultSet::empty());
         for r in 0..df.graph.n() as u32 {
             for dst in 0..df.graph.n() as u32 {
                 // Hierarchical distance dominates unconstrained distance
@@ -615,7 +454,7 @@ mod tests {
             h: 2,
             p: 1,
         });
-        let t = RouteTable::builder(&df.graph).group(&df.group).build();
+        let t = RouteTable::for_spec(&df);
         // Walk every (src, dst) pair greedily along every minimal-port
         // choice at the first hop and the deterministic one after,
         // counting global hops.
@@ -650,7 +489,7 @@ mod tests {
             a: 4,
             p: 1,
         });
-        let t = RouteTable::builder(&mf.graph).group(&mf.group).build();
+        let t = RouteTable::for_spec(&mf);
         let leaves = mf.endpoint_routers();
         for &a in &leaves {
             for &b in &leaves {
@@ -673,13 +512,13 @@ mod tests {
             .spec;
         let n = net.graph.n();
         assert_eq!(n, 1064);
-        let t = RouteTable::builder(&net.graph).build();
+        let t = RouteTable::for_spec(&net);
         let sum_deg: usize = (0..n as u32).map(|r| net.graph.degree(r)).sum();
         let expect = n * n * 2            // dist: u16 per (r, dst)
             + (n * n + 1) * 4             // port_offsets: u32
             + t.storage_entries()         // ports: u8
-            + (n + 1) * 4                 // nbr_offsets: u32
-            + sum_deg * 4; // nbrs: u32
+            + (n + 1) * std::mem::size_of::<usize>() // graph offsets: usize
+            + sum_deg * 4; // graph neighbors: u32
         assert_eq!(t.memory_bytes(), expect);
         // Sanity: the whole routing state for a 1064-router Table-3
         // config stays well under 16 MiB.
@@ -689,7 +528,7 @@ mod tests {
     #[test]
     fn neighbors_slice_matches_graph_adjacency() {
         let g = polarstar_graph::random::random_regular(30, 5, 7).unwrap();
-        let t = RouteTable::builder(&g).build();
+        let t = flat_table(&g, &FaultSet::empty());
         for r in 0..30u32 {
             assert_eq!(t.neighbors(r), g.neighbors(r));
             assert_eq!(t.degree(r), g.degree(r));
@@ -707,7 +546,7 @@ mod tests {
         // link never appears as a minimal port.
         let g = Graph::cycle(6);
         let f = FaultSet::from_links([(0, 1)]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = flat_table(&g, &f);
         assert_eq!(t.distance(0, 1), 5);
         assert!(t.is_reachable(0, 1));
         for &p in t.min_ports(0, 1) {
@@ -723,7 +562,7 @@ mod tests {
         // Path 0-1-2-3: cutting (1, 2) splits the graph in two.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let f = FaultSet::from_links([(1, 2)]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = flat_table(&g, &f);
         assert_eq!(t.distance(0, 3), RouteTable::UNREACHABLE);
         assert!(!t.is_reachable(0, 3));
         assert!(t.min_ports(0, 3).is_empty());
@@ -738,7 +577,7 @@ mod tests {
         use polarstar_topo::FaultSet;
         let g = Graph::complete(5);
         let f = FaultSet::from_routers([2]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = flat_table(&g, &f);
         for r in 0..5u32 {
             if r != 2 {
                 assert!(!t.is_reachable(r, 2), "{r}→2");
@@ -772,10 +611,7 @@ mod tests {
             .find(|&(u, v)| df.group[u as usize] != df.group[v as usize])
             .unwrap();
         let f = FaultSet::from_links([(u, v)]);
-        let t = RouteTable::builder(&df.graph)
-            .group(&df.group)
-            .faults(&f)
-            .build();
+        let t = RouteTable::for_spec(&df.clone().with_faults(f));
         let mut lost = 0usize;
         for src in 0..df.graph.n() as u32 {
             for dst in 0..df.graph.n() as u32 {
@@ -879,11 +715,85 @@ mod tests {
         let pristine = RouteTable::for_spec(&spec);
         for f in fault_kinds(&g) {
             let remasked = pristine.remask(&spec, &f);
-            assert_tables_equal(&remasked, &RouteTable::builder(&g).faults(&f).build());
+            assert_tables_equal(&remasked, &flat_table(&g, &f));
             assert_matches_fault_rules(&remasked, &g, &f);
         }
         // Remasking back to the empty set restores the pristine table.
         assert_tables_equal(&pristine.remask(&spec, &FaultSet::empty()), &pristine);
+    }
+
+    /// The hierarchical masked table from first principles: ≤1-global
+    /// distances by a plain BFS over (router, globals used) states on
+    /// `FaultSet::degraded_graph`, minimal ports filtered by the directed
+    /// `FaultSet::link_failed` rule plus the local/global rule (a local
+    /// hop shortens the ≤1-global distance, a global hop lands where the
+    /// rest is purely local).
+    fn assert_matches_hierarchical_rules(t: &RouteTable, spec: &NetworkSpec, f: &FaultSet) {
+        let (g, group) = (&spec.graph, &spec.group);
+        let degraded = f.degraded_graph(g);
+        let n = g.n();
+        let global = |u: u32, v: u32| group[u as usize] != group[v as usize];
+        for dst in 0..n as u32 {
+            // state[k * n + v]: hops from dst to v using k globals.
+            let mut state = vec![u32::MAX; 2 * n];
+            let mut queue = std::collections::VecDeque::from([(dst, 0usize)]);
+            state[dst as usize] = 0;
+            while let Some((u, k)) = queue.pop_front() {
+                let du = state[k * n + u as usize];
+                for &v in degraded.neighbors(u) {
+                    let kv = k + usize::from(global(u, v));
+                    if kv < 2 && state[kv * n + v as usize] == u32::MAX {
+                        state[kv * n + v as usize] = du + 1;
+                        queue.push_back((v, kv));
+                    }
+                }
+            }
+            let d0 = |v: u32| state[v as usize];
+            let d1 = |v: u32| state[v as usize].min(state[n + v as usize]);
+            for r in 0..n as u32 {
+                let dr = d1(r);
+                assert_eq!(
+                    t.distance(r, dst),
+                    dr.min(u16::MAX as u32) as u16,
+                    "{r}→{dst}"
+                );
+                let expect: Vec<u8> = (0..g.degree(r))
+                    .filter(|&p| {
+                        let nb = g.neighbors(r)[p];
+                        let via = if global(r, nb) { d0(nb) } else { d1(nb) };
+                        r != dst
+                            && dr != u32::MAX
+                            && !f.link_failed(r, nb)
+                            && via.wrapping_add(1) == dr
+                    })
+                    .map(|p| p as u8)
+                    .collect();
+                assert_eq!(t.min_ports(r, dst), &expect[..], "{r}→{dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchical_tables_match_first_principles() {
+        let df = polarstar_topo::dragonfly::dragonfly(polarstar_topo::dragonfly::DragonflyParams {
+            a: 4,
+            h: 2,
+            p: 1,
+        });
+        let mf = polarstar_topo::megafly::megafly(polarstar_topo::megafly::MegaflyParams {
+            rho: 2,
+            a: 4,
+            p: 1,
+        });
+        for spec in [df, mf] {
+            assert_eq!(spec.routing_policy(), RoutingPolicy::HierarchicalMinimal);
+            let pristine = RouteTable::for_spec(&spec);
+            assert_matches_hierarchical_rules(&pristine, &spec, &FaultSet::empty());
+            for f in fault_kinds(&spec.graph) {
+                let t = RouteTable::for_spec(&spec.clone().with_faults(f.clone()));
+                assert_matches_hierarchical_rules(&t, &spec, &f);
+            }
+        }
     }
 
     #[test]
@@ -917,10 +827,7 @@ mod tests {
             let remasked = pristine.remask(&spec, f);
             assert_tables_equal(
                 &remasked,
-                &RouteTable::builder(&df.graph)
-                    .group(&df.group)
-                    .faults(f)
-                    .build(),
+                &RouteTable::for_spec(&df.clone().with_faults(f.clone())),
             );
             for r in 0..df.graph.n() as u32 {
                 for dst in 0..df.graph.n() as u32 {
@@ -950,7 +857,7 @@ mod tests {
         // The oracle surface tells them apart with a typed error.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let f = FaultSet::from_links([(1, 2)]);
-        let t = RouteTable::builder(&g).faults(&f).build();
+        let t = flat_table(&g, &f);
         assert!(t.min_ports(0, 3).is_empty());
         assert!(t.min_ports(3, 3).is_empty());
         assert_eq!(
@@ -979,7 +886,7 @@ mod tests {
     fn oracle_walks_match_table_lookups() {
         use polarstar_topo::oracle::PathOracle;
         let g = polarstar_graph::random::random_regular(30, 4, 3).unwrap();
-        let t = RouteTable::builder(&g).build();
+        let t = flat_table(&g, &FaultSet::empty());
         for src in 0..30u32 {
             for dst in 0..30u32 {
                 let d = PathOracle::distance(&t, src, dst).unwrap();
@@ -1004,31 +911,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_group_implies_hierarchical_policy() {
-        let df = polarstar_topo::dragonfly::dragonfly(polarstar_topo::dragonfly::DragonflyParams {
-            a: 4,
-            h: 2,
-            p: 1,
-        });
-        let implicit = RouteTable::builder(&df.graph).group(&df.group).build();
-        let explicit = RouteTable::builder(&df.graph)
-            .group(&df.group)
-            .policy(RoutingPolicy::HierarchicalMinimal)
-            .build();
-        assert_tables_equal(&implicit, &explicit);
-        // .policy after .group overrides back to flat.
-        let flat = RouteTable::builder(&df.graph)
-            .group(&df.group)
-            .policy(RoutingPolicy::FlatMinimal)
-            .build();
-        assert_tables_equal(&flat, &RouteTable::builder(&df.graph).build());
-    }
-
-    #[test]
     fn storage_scales_with_path_diversity() {
         // HyperX-like graphs have more minimal ports than a cycle.
         let hx = polarstar_topo::hyperx::hyperx(&[4, 4], 1);
-        let t = RouteTable::builder(&hx.graph).build();
+        let t = RouteTable::for_spec(&hx);
         // For routers differing in both coordinates there are 2 minimal
         // first hops.
         assert!(t.storage_entries() > 16 * 15);

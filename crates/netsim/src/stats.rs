@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn sweep_shapes() {
         let spec = NetworkSpec::uniform("k6", Graph::complete(6), 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let s = sweep(
             &spec,
             &table,
@@ -252,7 +252,7 @@ mod tests {
         // C8 with 2 eps/router: uniform saturation well below full load
         // (bisection of 2 links serves ~16 endpoints × load/2 crossing).
         let spec = NetworkSpec::uniform("c8", Graph::cycle(8), 2);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let sat = saturation_search(
             &spec,
             &table,
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn complete_graph_no_saturation() {
         let spec = NetworkSpec::uniform("k8", Graph::complete(8), 1);
-        let table = RouteTable::builder(&spec.graph).build();
+        let table = RouteTable::for_spec(&spec);
         let sat = saturation_search(
             &spec,
             &table,

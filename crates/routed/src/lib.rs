@@ -21,8 +21,8 @@
 //!   rayon-sharded batch paths are byte-identical for a fixed (seed,
 //!   batch) at any thread count;
 //! * [`EpochSwapper`] — epoch-aware serving: the next fault epoch's
-//!   oracle is prepared off-thread (`RouteTable::remask` reuses the
-//!   pristine neighbor CSR) and atomically published arc-swap style, so
+//!   oracle is prepared off-thread (`RouteTable::remask` keeps the
+//!   spec's pristine port numbering) and atomically published arc-swap style, so
 //!   queries never block on re-masking and never observe a torn table.
 //!
 //! Throughput on a pristine Table-3 PS-IQ (1064 routers): millions of

@@ -192,7 +192,7 @@ impl Oracle {
 
     /// Re-mask this oracle for a new cumulative fault set — the
     /// per-epoch path of [`crate::EpochSwapper`]. The table backend
-    /// reruns its BFS layers over the pristine neighbor CSR
+    /// reruns its BFS layers over the spec's pristine graph
     /// (`RouteTable::remask`); the analytic backend just swaps the fault
     /// mask. Spec and classes are shared either way.
     pub fn remask(&self, faults: &FaultSet, epoch: u64) -> Oracle {

@@ -18,8 +18,8 @@ use std::sync::{Arc, RwLock};
 
 /// Double-buffered epoch switcher over a serving [`Oracle`].
 pub struct EpochSwapper {
-    /// The immutable base snapshot every epoch re-masks from (its
-    /// pristine neighbor CSR is what `RouteTable::remask` reuses).
+    /// The immutable base snapshot every epoch re-masks from (its spec's
+    /// pristine graph fixes the port numbering `RouteTable::remask` keeps).
     base: Arc<Oracle>,
     /// The snapshot queries are answered against right now.
     current: RwLock<Arc<Oracle>>,

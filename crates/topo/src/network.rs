@@ -9,21 +9,17 @@ use std::sync::OnceLock;
 /// How minimal routing tables should be built for a topology — carried on
 /// the spec so consumers (the cycle simulator, figure binaries) no longer
 /// have to pattern-match display names to pick a table discipline.
+/// `RouteTable::for_spec` in `polarstar-netsim` reads it together with
+/// the spec's groups and fault mask.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Unconstrained shortest paths over the router graph.
     #[default]
     FlatMinimal,
     /// Shortest paths restricted to at most one inter-group ("global")
-    /// link — BookSim's built-in Dragonfly/Megafly MIN discipline.
+    /// link over the spec's `group` array — BookSim's built-in
+    /// Dragonfly/Megafly MIN discipline.
     HierarchicalMinimal,
-    /// Routes served from an offline congestion-negotiated assignment
-    /// (PathFinder-style rip-up and re-route over a traffic matrix).
-    /// Table construction treats this like [`RoutingPolicy::FlatMinimal`]
-    /// — the negotiated overlay rides on top of the flat minimal base
-    /// table and is consulted per (src, dst) pair by the flow and cycle
-    /// layers.
-    Negotiated,
 }
 
 impl RoutingPolicy {
@@ -32,7 +28,6 @@ impl RoutingPolicy {
         match self {
             RoutingPolicy::FlatMinimal => "flat-minimal",
             RoutingPolicy::HierarchicalMinimal => "hierarchical-minimal",
-            RoutingPolicy::Negotiated => "negotiated",
         }
     }
 }

@@ -11,6 +11,7 @@ use polarstar_repro::netsim::engine::{simulate, SimConfig};
 use polarstar_repro::netsim::routing::{RouteTable, RoutingKind};
 use polarstar_repro::netsim::traffic::Pattern;
 use polarstar_repro::topo::dragonfly::{dragonfly, DragonflyParams};
+use polarstar_repro::topo::RoutingPolicy;
 
 fn main() {
     let cfg = SimConfig {
@@ -37,7 +38,8 @@ fn main() {
 
     println!("topology,routing,pattern,offered,avg_latency,accepted,stable");
     for net in [&ps, &df] {
-        let table = RouteTable::builder(&net.graph).build();
+        // Flat minimal tables on both, the Dragonfly's included.
+        let table = RouteTable::for_spec(&net.clone().with_policy(RoutingPolicy::FlatMinimal));
         for kind in [RoutingKind::MinMulti, RoutingKind::ugal4()] {
             for pattern in [Pattern::Uniform, Pattern::AdversarialGroup] {
                 for load in [0.1, 0.3, 0.5, 0.7] {

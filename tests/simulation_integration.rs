@@ -32,7 +32,7 @@ fn small_polarstar(p: u32) -> NetworkSpec {
 #[test]
 fn polarstar_uniform_min_sustains_majority_load() {
     let net = small_polarstar(3);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let r = simulate(
         &net,
         &table,
@@ -56,9 +56,9 @@ fn adversarial_polarstar_beats_dragonfly() {
         net.name = "DF".into();
         net
     };
-    let pst = RouteTable::builder(&ps.graph).build();
+    let pst = RouteTable::for_spec(&ps);
     // BookSim's Dragonfly MIN is hierarchical: local, one global, local.
-    let dft = RouteTable::builder(&df.graph).group(&df.group).build();
+    let dft = RouteTable::for_spec(&df);
     let sat_ps = saturation_search(
         &ps,
         &pst,
@@ -85,7 +85,7 @@ fn adversarial_polarstar_beats_dragonfly() {
 #[test]
 fn ugal_reasonable_on_permutation() {
     let net = small_polarstar(3);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let s = sweep(
         &net,
         &table,
@@ -105,7 +105,7 @@ fn ugal_reasonable_on_permutation() {
 #[test]
 fn bit_patterns_deliver() {
     let net = small_polarstar(2);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     for pattern in [Pattern::BitShuffle, Pattern::BitReverse] {
         let r = simulate(&net, &table, RoutingKind::MinMulti, &pattern, 0.1, &cfg(4));
         assert!(r.measured_ejected > 0, "{pattern:?} delivered nothing");
@@ -118,7 +118,7 @@ fn bit_patterns_deliver() {
 #[test]
 fn sweeps_are_reproducible() {
     let net = small_polarstar(2);
-    let table = RouteTable::builder(&net.graph).build();
+    let table = RouteTable::for_spec(&net);
     let a = sweep(
         &net,
         &table,
